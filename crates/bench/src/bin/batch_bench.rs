@@ -6,9 +6,13 @@
 //!    masks match per-request solo forwards within 1e-5 across ragged
 //!    tier compositions, and a batch of one is bit-exact.
 //! 2. **Throughput** — at concurrency >= 16, the batched engine with the
-//!    cache sustains >= 2x the one-request-per-worker baseline on a
-//!    repeated-slide workload.
+//!    cache sustains >= 2x the one-request-per-forward (`max_batch = 1`,
+//!    no cache) baseline on a repeated-slide workload.
 //! 3. **Cache** — that workload lands >= 90% preprocessing cache hits.
+//!
+//! Two ungated ablation rows split the gated speedup between its parts:
+//! cache only (`max_batch = 1` + the cache) and batching only
+//! (`max_batch = 16`, no cache), on the same workload.
 //!
 //! Usage: `cargo run --release -p apf-bench --bin batch_bench [--quick]`
 
@@ -19,7 +23,7 @@ use apf_bench::{print_table, save_json, Args};
 use apf_imaging::GrayImage;
 use apf_models::cancel::CancelToken;
 use apf_models::vit::{ViTConfig, ViTSegmenter};
-use apf_serve::{Outcome, SegRequest, ServeConfig, ServeEngine};
+use apf_serve::{BatchConfig, Outcome, SegRequest, ServeConfig, ServeEngine, ServeReport};
 use apf_tensor::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -55,11 +59,31 @@ struct ThroughputReport {
     speedup_ok: bool,
 }
 
+/// One ungated configuration of the same workload.
+#[derive(Serialize)]
+struct AblationRow {
+    max_batch: usize,
+    batch_linger_ms: u64,
+    cache_budget_bytes: usize,
+    elapsed_s: f64,
+    rps: f64,
+    speedup_vs_baseline: f64,
+    cache_hit_rate: f64,
+    mean_occupancy: f64,
+}
+
+#[derive(Serialize)]
+struct Ablation {
+    cache_only: AblationRow,
+    batch_only: AblationRow,
+}
+
 #[derive(Serialize)]
 struct BenchReport {
     seed: u64,
     equivalence: EquivalenceReport,
     throughput: ThroughputReport,
+    ablation: Ablation,
     cache_hit_rate: f64,
     cache_hit_rate_ok: bool,
     batch: apf_serve::BatchStatsSnapshot,
@@ -184,6 +208,42 @@ fn drive(engine: &Arc<ServeEngine>, pool: &Arc<Vec<GrayImage>>, total: u64, conc
     t0.elapsed().as_secs_f64()
 }
 
+/// Runs the workload on a fresh engine with `batch` knobs; returns elapsed
+/// seconds and the engine's final report.
+fn run(
+    batch: BatchConfig,
+    workers: usize,
+    pool: &Arc<Vec<GrayImage>>,
+    total: u64,
+    concurrency: usize,
+) -> (f64, ServeReport) {
+    let cfg = ServeConfig { workers, queue_capacity: 256, batch, ..ServeConfig::small() };
+    let engine = Arc::new(ServeEngine::start(cfg));
+    let elapsed = drive(&engine, pool, total, concurrency);
+    let report = Arc::try_unwrap(engine).ok().expect("engine still shared").shutdown();
+    (elapsed, report)
+}
+
+fn ablation_row(
+    batch: BatchConfig,
+    elapsed_s: f64,
+    report: &ServeReport,
+    total: u64,
+    baseline_rps: f64,
+) -> AblationRow {
+    let rps = total as f64 / elapsed_s;
+    AblationRow {
+        max_batch: batch.max_batch,
+        batch_linger_ms: batch.batch_linger_ms,
+        cache_budget_bytes: batch.cache_budget_bytes,
+        elapsed_s,
+        rps,
+        speedup_vs_baseline: rps / baseline_rps,
+        cache_hit_rate: report.cache.as_ref().map_or(0.0, |c| c.hit_rate()),
+        mean_occupancy: report.batch.as_ref().map_or(0.0, |b| b.mean_occupancy),
+    }
+}
+
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
@@ -223,26 +283,17 @@ fn main() {
             .collect(),
     );
 
-    // Baseline: identical engine, batching and cache disabled — each
+    // Baseline: identical engine at `max_batch = 1` with no cache — each
     // worker runs one request at a time, rebuilding the quadtree and a
     // fresh graph per request.
-    let mut base_cfg = ServeConfig::small();
-    base_cfg.workers = workers;
-    base_cfg.queue_capacity = 256;
     println!("batch_bench: baseline ({total} requests, {concurrency} submitters)...");
-    let baseline = Arc::new(ServeEngine::start(base_cfg));
-    let baseline_elapsed_s = drive(&baseline, &pool, total, concurrency);
-    Arc::try_unwrap(baseline).ok().expect("baseline engine still shared").shutdown();
+    let (baseline_elapsed_s, _) = run(BatchConfig::solo(), workers, &pool, total, concurrency);
 
-    let mut batch_cfg = ServeConfig::small_batched(max_batch, batch_linger_ms);
-    batch_cfg.workers = workers;
-    batch_cfg.queue_capacity = 256;
     println!("batch_bench: batched ({total} requests, {concurrency} submitters)...");
-    let batched = Arc::new(ServeEngine::start(batch_cfg));
-    let batched_elapsed_s = drive(&batched, &pool, total, concurrency);
-    let report = Arc::try_unwrap(batched).ok().expect("batched engine still shared").shutdown();
-    let batch = report.batch.clone().expect("batched engine reports batch stats");
-    let cache = report.cache.clone().expect("batched engine reports cache stats");
+    let (batched_elapsed_s, report) =
+        run(BatchConfig::batched(max_batch, batch_linger_ms), workers, &pool, total, concurrency);
+    let batch = report.batch.clone().expect("the engine reports batch stats");
+    let cache = report.cache.clone().expect("the engine reports cache stats");
 
     let baseline_rps = total as f64 / baseline_elapsed_s;
     let batched_rps = total as f64 / batched_elapsed_s;
@@ -262,6 +313,17 @@ fn main() {
     );
     assert!(batch.mean_occupancy > 1.0, "batches never formed: {batch:?}");
 
+    // Ablation (reported, not gated): which part of the gated pair's
+    // speedup the cache buys and which the batching buys.
+    let cache_only_cfg = BatchConfig::batched(1, 0);
+    let batch_only_cfg =
+        BatchConfig { cache_budget_bytes: 0, ..BatchConfig::batched(max_batch, batch_linger_ms) };
+    println!("batch_bench: ablation, cache only and batching only...");
+    let (t, r) = run(cache_only_cfg.clone(), workers, &pool, total, concurrency);
+    let cache_only = ablation_row(cache_only_cfg, t, &r, total, baseline_rps);
+    let (t, r) = run(batch_only_cfg.clone(), workers, &pool, total, concurrency);
+    let batch_only = ablation_row(batch_only_cfg, t, &r, total, baseline_rps);
+
     let bench = BenchReport {
         seed,
         equivalence,
@@ -278,6 +340,7 @@ fn main() {
             speedup,
             speedup_ok,
         },
+        ablation: Ablation { cache_only, batch_only },
         cache_hit_rate,
         cache_hit_rate_ok,
         batch,
@@ -292,6 +355,8 @@ fn main() {
             vec!["baseline rps".into(), format!("{:.0}", bench.throughput.baseline_rps)],
             vec!["batched rps".into(), format!("{:.0}", bench.throughput.batched_rps)],
             vec!["speedup".into(), format!("{:.2}x", bench.throughput.speedup)],
+            vec!["cache-only rps".into(), format!("{:.0}", bench.ablation.cache_only.rps)],
+            vec!["batch-only rps".into(), format!("{:.0}", bench.ablation.batch_only.rps)],
             vec!["mean occupancy".into(), format!("{:.2}", bench.batch.mean_occupancy)],
             vec!["cache hit rate".into(), format!("{:.4}", bench.cache_hit_rate)],
         ],

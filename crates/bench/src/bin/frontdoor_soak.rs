@@ -247,7 +247,7 @@ fn run_scale_soak(args: &Args) {
         breaker: BreakerConfig::default(),
         policy,
         faults: ServeFaultPlan::none(),
-        batch: BatchConfig::enabled(max_batch, batch_linger_ms),
+        batch: BatchConfig::batched(max_batch, batch_linger_ms),
         telemetry: tel.clone(),
         flight_dump_dir: None,
     }));
@@ -476,7 +476,7 @@ fn main() {
         breaker: BreakerConfig { failure_threshold: 3, cooldown_polls: 4, half_open_successes: 2 },
         policy,
         faults: engine_faults,
-        batch: BatchConfig::disabled(),
+        batch: BatchConfig::solo(),
         telemetry: tel.clone(),
         flight_dump_dir: Some(dump_dir.clone()),
     }));

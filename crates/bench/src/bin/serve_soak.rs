@@ -178,7 +178,7 @@ fn main() {
         breaker,
         policy,
         faults: plan,
-        batch: BatchConfig::disabled(),
+        batch: BatchConfig::solo(),
         telemetry: tel.clone(),
         flight_dump_dir: None,
     };

@@ -4,9 +4,12 @@
 //! paper — APF's whole point is that the model stays intact and only the
 //! patch sequence changes.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use apf_tensor::prelude::*;
 
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::Cancelled;
 use crate::layers::{LayerNorm, Linear, Mlp};
 use crate::params::{BoundParams, ParamSet};
 use crate::rearrange::{merge_heads, split_heads};
@@ -221,47 +224,64 @@ impl TransformerEncoder {
         self.forward_with_skips(g, bp, x).0
     }
 
-    /// Runs the stack with a per-sample key-padding mask applied to every
-    /// block's attention — the multi-request batched serving path, where
-    /// ragged sequences are zero-padded to a common length and the mask
-    /// keeps each sample's padding out of its own attention keys. Batch
-    /// samples never mix (attention is block-diagonal per sample), so each
-    /// row of the output equals the corresponding solo forward. `None`
-    /// reproduces [`TransformerEncoder::forward`] exactly.
-    pub fn forward_with_key_mask(
+    /// Runs the stack over `B` independent batch members: the serving path,
+    /// batched or not. `key_mask` (one row per member, `false` = padding)
+    /// keeps each member's padding out of its own attention keys; `None`
+    /// reproduces [`TransformerEncoder::forward`] exactly. Before every
+    /// block, `expired(b)` is asked about each member `b` still running
+    /// (indices into the input batch); the rows of members it reports are
+    /// removed from the batch and its mask, so a member whose deadline
+    /// passed stops paying for the remaining blocks and the others run on
+    /// unchanged (attention is block-diagonal per member). The pass stops
+    /// when no member remains.
+    pub fn forward_pruning(
         &self,
         g: &mut Graph,
         bp: &BoundParams,
         x: Var,
         key_mask: Option<&[Vec<bool>]>,
-    ) -> Var {
-        let mut h = x;
-        for blk in &self.blocks {
-            h = blk.forward_with_key_mask(g, bp, h, key_mask);
-        }
-        self.final_ln.forward(g, bp, h)
-    }
-
-    /// Runs the stack with a cooperative cancellation check *between*
-    /// blocks — the serving path's deadline hook. Each block is the unit of
-    /// preemption: a request whose deadline expires mid-stack stops paying
-    /// for the remaining blocks instead of finishing a doomed pass.
-    pub fn forward_with_cancel(
-        &self,
-        g: &mut Graph,
-        bp: &BoundParams,
-        x: Var,
-        cancel: &CancelToken,
-    ) -> Result<Var, Cancelled> {
+        expired: &mut dyn FnMut(usize) -> bool,
+    ) -> Pruned {
+        let total_blocks = self.blocks.len();
+        let mut live: Vec<usize> = (0..g.value(x).dims()[0]).collect();
+        let mut members = vec![Ok(0); live.len()];
+        let mut mask = key_mask.map(Cow::Borrowed);
         let mut h = x;
         for (i, blk) in self.blocks.iter().enumerate() {
-            if cancel.is_cancelled() {
-                return Err(Cancelled { completed_blocks: i, total_blocks: self.blocks.len() });
+            let (keep, gone): (Vec<usize>, Vec<usize>) =
+                (0..live.len()).partition(|&r| !expired(live[r]));
+            if !gone.is_empty() {
+                for r in gone {
+                    members[live[r]] = Err(Cancelled { completed_blocks: i, total_blocks });
+                }
+                if keep.is_empty() {
+                    return Pruned { out: None, members };
+                }
+                // Drop the expired rows on the [B, L*D] view.
+                let dims = g.value(h).dims().to_vec();
+                let flat = g.reshape(h, [dims[0], dims[1] * dims[2]]);
+                let rows = Arc::new(keep.iter().map(|&r| r as u32).collect());
+                h = g.gather_rows(flat, rows, [keep.len(), dims[1], dims[2]]);
+                mask = mask.map(|m| Cow::Owned(keep.iter().map(|&r| m[r].clone()).collect()));
+                live = keep.iter().map(|&r| live[r]).collect();
             }
-            h = blk.forward(g, bp, h);
+            h = blk.forward_with_key_mask(g, bp, h, mask.as_deref());
         }
-        Ok(self.final_ln.forward(g, bp, h))
+        for (row, &b) in live.iter().enumerate() {
+            members[b] = Ok(row);
+        }
+        Pruned { out: Some(self.final_ln.forward(g, bp, h)), members }
     }
+}
+
+/// What [`TransformerEncoder::forward_pruning`] returns.
+#[derive(Debug)]
+pub struct Pruned {
+    /// Output of the members that ran every block, one row each in input
+    /// order; `None` when every member was removed.
+    pub out: Option<Var>,
+    /// Per input member: its row in `out`, or how far it got.
+    pub members: Vec<Result<usize, Cancelled>>,
 }
 
 #[cfg(test)]

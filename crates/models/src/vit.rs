@@ -12,7 +12,7 @@ use apf_tensor::prelude::*;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::layers::{LayerNorm, Linear};
 use crate::params::{BoundParams, ParamId, ParamSet};
-use crate::transformer::TransformerEncoder;
+use crate::transformer::{Pruned, TransformerEncoder};
 
 /// Hyper-parameters shared by the ViT variants.
 #[derive(Debug, Clone, Copy)]
@@ -153,15 +153,33 @@ impl ViTSegmenter {
         self.head.forward(g, bp, x)
     }
 
-    /// Batched multi-request inference: `[B, L, patch_dim]` tokens from `B`
-    /// *independent* requests, zero-padded to a common `L <= seq_len`, with
-    /// one key-padding mask row per request (`mask[b][t] == false` marks
-    /// padding). Attention is block-diagonal over the batch and the mask
-    /// keeps each request's padding out of its own keys, so row `b`'s real
-    /// tokens equal the solo [`ViTSegmenter::forward_cancellable`] output
-    /// of request `b` (bit-exact at `B == 1` with no padding; within float
-    /// tolerance otherwise — the padded rows themselves are garbage and
-    /// must be sliced off by the caller).
+    /// Serving inference over `B` independent requests: `[B, L, patch_dim]`
+    /// tokens zero-padded to a common `L <= seq_len` (prefix positional
+    /// embedding), one key-padding mask row per request (`mask[b][t] ==
+    /// false` marks padding), and a per-request check asked before every
+    /// encoder block that removes expired requests from the batch (see
+    /// [`TransformerEncoder::forward_pruning`]). The output holds the
+    /// surviving requests' `[L, patch_dim]` logits; padded rows are garbage
+    /// the caller slices off.
+    pub fn forward_pruning(
+        &self,
+        g: &mut Graph,
+        bp: &BoundParams,
+        tokens: Var,
+        key_mask: Option<&[Vec<bool>]>,
+        expired: &mut dyn FnMut(usize) -> bool,
+    ) -> Pruned {
+        let x = self.embed.forward_prefix(g, bp, tokens);
+        let pass = self.encoder.forward_pruning(g, bp, x, key_mask, expired);
+        Pruned { out: pass.out.map(|h| self.head.forward(g, bp, h)), members: pass.members }
+    }
+
+    /// Batched multi-request inference without deadlines. Attention is
+    /// block-diagonal over the batch and the mask keeps each request's
+    /// padding out of its own keys, so row `b`'s real tokens equal the solo
+    /// [`ViTSegmenter::forward_cancellable`] output of request `b`
+    /// (bit-exact at `B == 1` with no padding; within float tolerance
+    /// otherwise).
     pub fn forward_batched(
         &self,
         g: &mut Graph,
@@ -169,9 +187,9 @@ impl ViTSegmenter {
         tokens: Var,
         key_mask: Option<&[Vec<bool>]>,
     ) -> Var {
-        let x = self.embed.forward_prefix(g, bp, tokens);
-        let x = self.encoder.forward_with_key_mask(g, bp, x, key_mask);
-        self.head.forward(g, bp, x)
+        self.forward_pruning(g, bp, tokens, key_mask, &mut |_| false)
+            .out
+            .expect("no request is removed without a deadline check")
     }
 
     /// Deadline-aware inference: accepts any sequence length `l <= seq_len`
@@ -184,9 +202,11 @@ impl ViTSegmenter {
         tokens: Var,
         cancel: &CancelToken,
     ) -> Result<Var, Cancelled> {
-        let x = self.embed.forward_prefix(g, bp, tokens);
-        let x = self.encoder.forward_with_cancel(g, bp, x, cancel)?;
-        Ok(self.head.forward(g, bp, x))
+        let pass = self.forward_pruning(g, bp, tokens, None, &mut |_| cancel.is_cancelled());
+        match pass.members.into_iter().filter_map(Result::err).min_by_key(|c| c.completed_blocks) {
+            Some(c) => Err(c),
+            None => Ok(pass.out.expect("every request ran every block")),
+        }
     }
 }
 
@@ -316,6 +336,56 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.completed_blocks, 0);
         assert_eq!(err.total_blocks, 2);
+    }
+
+    #[test]
+    fn pruning_a_member_mid_stack_leaves_the_survivors_unchanged() {
+        let cfg = ViTConfig::tiny(16, 8);
+        let model = ViTSegmenter::new(cfg, 11);
+        let mut g = Graph::new();
+        let bp = model.params.bind(&mut g);
+        let xv = g.constant(Tensor::rand_uniform([3, 8, 16], -1.0, 1.0, 12));
+        let full = model.forward_batched(&mut g, &bp, xv, None);
+        let full = g.value(full).to_vec();
+        // Member 1 expires after the first of the two blocks.
+        let mut asked = [0usize; 3];
+        let pass = model.forward_pruning(&mut g, &bp, xv, None, &mut |b| {
+            asked[b] += 1;
+            b == 1 && asked[b] > 1
+        });
+        let cut = Cancelled { completed_blocks: 1, total_blocks: 2 };
+        assert_eq!(pass.members, vec![Ok(0), Err(cut), Ok(1)]);
+        let pruned = g.value(pass.out.expect("two members survive")).to_vec();
+        assert_eq!(pruned.len(), 2 * 8 * 16);
+        let row = 8 * 16;
+        for (r, b) in [(0, 0), (1, 2)] {
+            for (p, f) in pruned[r * row..(r + 1) * row].iter().zip(&full[b * row..(b + 1) * row]) {
+                assert!((p - f).abs() <= 1e-5, "survivor {b} moved: {p} vs {f}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_at_batch_of_one_matches_forward_cancellable() {
+        let cfg = ViTConfig::tiny(16, 8);
+        let model = ViTSegmenter::new(cfg, 13);
+        let mut g = Graph::new();
+        let bp = model.params.bind(&mut g);
+        let xv = g.constant(Tensor::rand_uniform([1, 8, 16], -1.0, 1.0, 14));
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = model.forward_cancellable(&mut g, &bp, xv, &token).unwrap_err();
+        let pass = model.forward_pruning(&mut g, &bp, xv, None, &mut |_| true);
+        assert!(pass.out.is_none(), "no member left to finish the pass");
+        assert_eq!(pass.members, vec![Err(cancelled)]);
+        // Mid-stack: the count names the blocks that ran.
+        let mut asked = 0;
+        let pass = model.forward_pruning(&mut g, &bp, xv, None, &mut |_| {
+            asked += 1;
+            asked > 1
+        });
+        assert!(pass.out.is_none());
+        assert_eq!(pass.members, vec![Err(Cancelled { completed_blocks: 1, total_blocks: 2 })]);
     }
 
     #[test]

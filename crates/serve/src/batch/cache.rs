@@ -19,7 +19,8 @@
 //!   bytes; inserting past the budget evicts least-recently-used entries
 //!   first. The budget invariant (`resident <= budget`) holds after every
 //!   operation; an entry bigger than the whole budget is returned to the
-//!   caller but never cached.
+//!   caller but never cached. A zero budget caches nothing and skips the
+//!   single-flight bookkeeping.
 //! * **Single-flight** — when two identical requests race, exactly one
 //!   builds; the rest block on a condvar and receive the shared result.
 //!   A failed build wakes all waiters empty-handed (nothing is cached) so
@@ -291,6 +292,19 @@ impl PatchCache {
         key: CacheKey,
         build: impl FnOnce() -> Result<PatchSequence, E>,
     ) -> Result<(Arc<PatchSequence>, CacheOutcome), E> {
+        if self.budget_bytes == 0 {
+            // Nothing is ever cached, so there is no build to coalesce onto:
+            // identical requests build side by side instead of queueing.
+            let built = build();
+            let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            if built.is_ok() {
+                st.stats.misses += 1;
+                self.tm.misses.inc();
+            } else {
+                st.stats.build_failures += 1;
+            }
+            return built.map(|seq| (Arc::new(seq), CacheOutcome::Miss));
+        }
         let mut waited = false;
         let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -460,6 +474,13 @@ mod tests {
         assert_eq!(seq.len(), 8);
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.stats().oversize_rejections, 1);
+        // A zero budget builds every lookup itself.
+        let none = PatchCache::new(0, &Telemetry::disabled());
+        for _ in 0..2 {
+            let (_, o) = none.get_or_build::<()>(key(9, 9), || Ok(seq_of(4, 8, 0.5))).unwrap();
+            assert_eq!(o, CacheOutcome::Miss);
+        }
+        assert_eq!((none.resident_bytes(), none.stats().misses), (0, 2));
     }
 
     #[test]

@@ -10,18 +10,22 @@
 //!
 //! Two cooperating pieces:
 //!
-//! * [`scheduler`] — the continuous-batching worker loop. It drains the
+//! * [`scheduler`] — the one worker loop every engine runs. It drains the
 //!   admission queue into batches closed at `max_batch` requests or
-//!   `batch_linger` expiry, whichever comes first. Batches are homogeneous
-//!   per degradation tier (the tier decides the patch budget, and mixing
-//!   budgets would cross-subsidize latency); slides never batch. Requests
-//!   whose deadline expires while a batch is forming are evicted with a
-//!   typed `DeadlineExceeded { stage: Batching }` instead of dragging the
-//!   whole batch past its SLO.
+//!   `batch_linger` expiry, whichever comes first; "solo" serving is
+//!   `max_batch = 1`. Batches are homogeneous per degradation tier (the
+//!   tier decides the patch budget, and mixing budgets would
+//!   cross-subsidize latency); slides never batch. Requests whose deadline
+//!   expires while a batch is forming are evicted with a typed
+//!   `DeadlineExceeded { stage: Batching }`, and requests whose deadline
+//!   expires mid-forward are removed between encoder blocks with
+//!   `DeadlineExceeded { stage: Inference { .. } }`, instead of dragging
+//!   the whole batch past its SLO.
 //! * [`cache`] — a bounded content-addressed cache of preprocessed patch
 //!   sequences, keyed by image content hash / `APT1` tile CRCs plus the
 //!   preprocessing knobs, with byte-budgeted LRU eviction and single-flight
-//!   deduplication of identical in-flight builds.
+//!   deduplication of identical in-flight builds. Its key also seeds the
+//!   budget trim, with or without a cache budget.
 
 pub mod cache;
 pub mod scheduler;
@@ -29,14 +33,11 @@ pub mod scheduler;
 pub use cache::{CacheKey, CacheOutcome, CacheStats, ContentKey, PatchCache, VariantKey};
 pub use scheduler::{batch_aware_retry_after, BatchStatsSnapshot};
 
-/// Knobs of the continuous-batching scheduler and its preprocessing cache.
+/// Knobs of the serving loop's batch windows and its preprocessing cache.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Route image requests through the batching scheduler. Off by default:
-    /// the one-request-per-worker loop keeps its exact fault-injection and
-    /// breaker semantics, and callers opt in to batching explicitly.
-    pub enabled: bool,
-    /// Close a forming batch once it holds this many requests.
+    /// Close a forming batch once it holds this many requests; `1` serves
+    /// one request per forward and never lingers.
     pub max_batch: usize,
     /// Close a forming batch this long after its first request even if it
     /// is not full — the latency a lightly loaded request donates to
@@ -49,31 +50,28 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig::disabled()
+        BatchConfig::solo()
     }
 }
 
 impl BatchConfig {
-    /// Batching off; the knob values are what `enable()` would serve.
-    pub fn disabled() -> Self {
-        BatchConfig {
-            enabled: false,
-            max_batch: 16,
-            batch_linger_ms: 2,
-            cache_budget_bytes: 64 << 20,
-        }
+    /// One request per forward, no linger window, no cache.
+    pub fn solo() -> Self {
+        BatchConfig { max_batch: 1, batch_linger_ms: 0, cache_budget_bytes: 0 }
     }
 
-    /// Batching on with explicit window knobs.
-    pub fn enabled(max_batch: usize, batch_linger_ms: u64) -> Self {
-        BatchConfig { enabled: true, max_batch: max_batch.max(1), batch_linger_ms, ..Self::disabled() }
+    /// Batches of up to `max_batch` requests (at least 1) closed after
+    /// `batch_linger_ms`, with a 64 MiB preprocessing cache.
+    pub fn batched(max_batch: usize, batch_linger_ms: u64) -> Self {
+        BatchConfig { max_batch: max_batch.max(1), batch_linger_ms, cache_budget_bytes: 64 << 20 }
     }
 
-    /// Batching on, with knobs read from the environment where present:
-    /// `APF_MAX_BATCH`, `APF_BATCH_LINGER_MS`, `APF_CACHE_BUDGET_BYTES`.
-    /// Unparseable or missing values keep the defaults.
+    /// [`BatchConfig::batched`]`(16, 2)` with knobs read from the
+    /// environment where present: `APF_MAX_BATCH`, `APF_BATCH_LINGER_MS`,
+    /// `APF_CACHE_BUDGET_BYTES`. Unparseable or missing values keep the
+    /// defaults.
     pub fn from_env() -> Self {
-        let mut cfg = BatchConfig { enabled: true, ..Self::disabled() };
+        let mut cfg = Self::batched(16, 2);
         if let Some(v) = env_usize("APF_MAX_BATCH") {
             cfg.max_batch = v.max(1);
         }
@@ -96,19 +94,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_disabled_with_sane_knobs() {
+    fn default_is_solo() {
         let cfg = BatchConfig::default();
-        assert!(!cfg.enabled);
-        assert!(cfg.max_batch >= 1);
-        assert!(cfg.cache_budget_bytes > 0);
+        assert_eq!(cfg.max_batch, 1);
+        assert_eq!(cfg.batch_linger_ms, 0);
+        assert_eq!(cfg.cache_budget_bytes, 0);
     }
 
     #[test]
-    fn enabled_clamps_max_batch_to_one() {
-        let cfg = BatchConfig::enabled(0, 5);
-        assert!(cfg.enabled);
+    fn batched_clamps_max_batch_to_one() {
+        let cfg = BatchConfig::batched(0, 5);
         assert_eq!(cfg.max_batch, 1);
         assert_eq!(cfg.batch_linger_ms, 5);
+        assert!(cfg.cache_budget_bytes > 0);
     }
 
     #[test]
@@ -119,14 +117,15 @@ mod tests {
         std::env::set_var("APF_BATCH_LINGER_MS", "17");
         std::env::set_var("APF_CACHE_BUDGET_BYTES", "12345");
         let cfg = BatchConfig::from_env();
-        assert!(cfg.enabled);
         assert_eq!(cfg.max_batch, 9);
         assert_eq!(cfg.batch_linger_ms, 17);
         assert_eq!(cfg.cache_budget_bytes, 12345);
         std::env::set_var("APF_MAX_BATCH", "not-a-number");
-        assert_eq!(BatchConfig::from_env().max_batch, BatchConfig::disabled().max_batch);
+        assert_eq!(BatchConfig::from_env().max_batch, 16);
         for v in ["APF_MAX_BATCH", "APF_BATCH_LINGER_MS", "APF_CACHE_BUDGET_BYTES"] {
             std::env::remove_var(v);
         }
+        let cfg = BatchConfig::from_env();
+        assert_eq!((cfg.max_batch, cfg.batch_linger_ms, cfg.cache_budget_bytes), (16, 2, 64 << 20));
     }
 }

@@ -1,7 +1,5 @@
-//! The continuous-batching worker loop.
-//!
-//! Replaces the one-request-per-worker loop when `BatchConfig::enabled` is
-//! set. Each batch worker:
+//! The serving worker loop. Every engine worker runs it; "solo" serving is
+//! just `max_batch = 1`. Each worker:
 //!
 //! 1. **Seeds** a batch with the next queued request (or the carry-over from
 //!    the previous window — see below). Slides are dispatched solo
@@ -9,25 +7,29 @@
 //!    linger window hostage.
 //! 2. **Gathers** compatible requests until the batch holds `max_batch`
 //!    requests or `batch_linger` has elapsed since the seed, whichever comes
-//!    first. Compatible = image payload at the *same degradation tier*; the
+//!    first (at `max_batch = 1` the batch is full at its seed and no window
+//!    forms). Compatible = image payload at the *same degradation tier*; the
 //!    first incompatible pop becomes the seed of the next batch (the queue
 //!    has no push-front, so the scheduler carries it across iterations).
 //! 3. **Evicts** members whose deadline expired while the batch was forming,
 //!    responding with `DeadlineExceeded { stage: Batching }` — one stale
 //!    request never rides (or delays) a fresh batch.
 //! 4. **Runs** one padded multi-request forward: sequences come from the
-//!    content-addressed [`PatchCache`], are padded to the batch's longest
-//!    length, and a per-request key-padding mask keeps padding out of every
-//!    sample's attention. Attention is block-diagonal per sample, so each
-//!    response equals its solo forward (bit-exact when nothing is padded,
-//!    e.g. any batch of one).
+//!    content-addressed [`PatchCache`], trimmed to the tier budget with a
+//!    content-derived drop seed (the same pixels give the same sequence
+//!    whatever the request id or batch size), are padded to the batch's
+//!    longest length, and a per-request key-padding mask keeps padding out
+//!    of every sample's attention. Attention is block-diagonal per sample,
+//!    so each response equals its solo forward (bit-exact when nothing is
+//!    padded, e.g. any batch of one).
 //!
-//! Deadlines are enforced at batch boundaries (pop, close, response) rather
-//! than mid-forward: a batch forward is one short graph execution shared by
-//! many requests, and cancelling it for one member would tax the others.
+//! Deadlines are also honoured inside the forward: before every encoder
+//! block, members whose deadline has passed are removed from the batch and
+//! answered `DeadlineExceeded { stage: Inference { completed_blocks } }`,
+//! while the rest of the batch runs on.
 //!
-//! Fault-injection indexing: in batch mode `nth` counts *dispatches* on the
-//! worker (batches plus solo slides), not individual requests — a
+//! Fault-injection indexing: `nth` counts *dispatches* on the worker
+//! (batches plus solo slides), which equals requests at `max_batch = 1` — a
 //! `WorkerPanic` fault fails the whole nth batch, which is exactly the blast
 //! radius a real mid-forward panic would have.
 
@@ -116,7 +118,7 @@ impl BatchTel {
     pub(crate) fn new(tel: &Telemetry) -> Self {
         BatchTel {
             occupancy: tel.histogram(
-                "apf_serve_batch_occupancy_requests",
+                "apf_serve_batch_occupancy_count",
                 "Requests per executed batch forward",
             ),
             linger_s: tel.histogram(
@@ -139,14 +141,18 @@ impl BatchTel {
 /// request would actually see under batching: every `max_batch` requests
 /// already queued ahead of it is roughly one more linger window before its
 /// batch even closes. Monotone non-decreasing in `depth`; with an empty
-/// queue only one linger window is added.
+/// queue only one linger window is added. At `max_batch <= 1` no window
+/// ever forms, so the base comes back unchanged.
 pub fn batch_aware_retry_after(
     base_ms: u64,
     depth: usize,
     max_batch: usize,
     batch_linger_ms: u64,
 ) -> u64 {
-    let windows = (depth / max_batch.max(1)) as u64 + 1;
+    if max_batch <= 1 {
+        return base_ms;
+    }
+    let windows = (depth / max_batch) as u64 + 1;
     base_ms.saturating_add(batch_linger_ms.saturating_mul(windows))
 }
 
@@ -244,7 +250,7 @@ pub(crate) fn batch_worker_loop(
                     shared.tm.queue_wait_s.record(q.submitted.elapsed().as_secs_f64());
                     if q.deadline.is_some_and(|d| Instant::now() >= d) {
                         // Expired before joining any batch: a queue-stage
-                        // miss, same as the solo loop would report.
+                        // miss, same as an expired seed.
                         shared.respond(
                             q,
                             Outcome::DeadlineExceeded { stage: DeadlineStage::Queued },
@@ -341,8 +347,8 @@ pub(crate) fn batch_worker_loop(
     }
 }
 
-/// Shared panic bookkeeping: flight-record the containment and freeze the
-/// black box to disk, mirroring the solo worker loop.
+/// Panic bookkeeping: flight-record the containment and freeze the black
+/// box to disk.
 fn contain_panic(idx: usize, id: u64, cfg: &ServeConfig, tm: &ServeTel) {
     tm.tel.flight("worker_panic", || format!("worker={idx} id={id}"));
     if let Some(dir) = &cfg.flight_dump_dir {
@@ -372,14 +378,17 @@ fn build_sequence(
                 .map_err(|e| e.to_string())?
         }
     };
-    // Enforce the budget by dropping, never padding — identical to the solo
-    // path except for the content-derived drop seed.
+    // Enforce the budget by dropping, never padding: a shorter sequence plus
+    // prefix positions is strictly cheaper than padding back to `L`.
     Ok(if seq.len() > budget { seq.fixed_length(budget, drop_seed) } else { seq })
 }
 
 /// One padded multi-request forward over a tier-homogeneous batch of image
 /// requests. Runs inside the worker's unwind barrier. Returns one outcome
-/// per request, aligned with `batch`.
+/// per request, aligned with `batch`. Each member's preprocessing runs
+/// under its own trace context and `serve.request` > `serve.inference` >
+/// `serve.patchify` spans; the shared forward is `serve.forward`, tagged
+/// with the first member's id.
 fn run_batch(
     model: &ViTSegmenter,
     batch: &[QueuedRequest],
@@ -421,6 +430,8 @@ fn run_batch(
                 },
             };
             let _ctx_guard = q.trace.map(TraceContext::install);
+            let _req_span = tm.tel.span_id("serve.request", req.id);
+            let _inf_span = tm.tel.span_id("serve.inference", req.id);
             let _span = tm.tel.span_id("serve.patchify", req.id);
             cache
                 .get_or_build(key, || {
@@ -472,26 +483,35 @@ fn run_batch(
             data[0] = f32::NAN;
         }
         // An all-real mask is the identity; skip it so uniform batches (and
-        // every batch of one) run the exact unmasked solo graph, bit for bit.
+        // every batch of one) run the exact unmasked graph of a lone
+        // request, bit for bit.
         let key_mask = if any_padding { Some(masks.as_slice()) } else { None };
         let _fwd_span = tm.tel.span_id("serve.forward", batch[live[0].0].payload.id());
         let mut g = Graph::new();
         let bp = model.params.bind(&mut g);
         let x = g.constant(Tensor::new([b, l_max, d_in], data));
-        let y = model.forward_batched(&mut g, &bp, x, key_mask);
-        let out = g.value(y);
-        let c = out.dims()[2];
-        let vals = out.to_vec();
-        for (bi, (i, seq)) in live.iter().enumerate() {
-            let l = seq.len();
-            let slice = &vals[bi * l_max * c..bi * l_max * c + l * c];
-            outcomes[*i] = Some(if slice.iter().any(|v| !v.is_finite()) {
-                Outcome::WorkerFailure { reason: FailureReason::NonFiniteOutput }
-            } else {
-                let positive = slice.iter().filter(|v| **v > 0.0).count();
-                Outcome::Completed {
-                    tokens: l,
-                    positive_fraction: positive as f32 / slice.len().max(1) as f32,
+        let mut expired =
+            |m: usize| batch[live[m].0].deadline.is_some_and(|d| Instant::now() >= d);
+        let pass = model.forward_pruning(&mut g, &bp, x, key_mask, &mut expired);
+        // The segmenter emits one logit per patch pixel: `d_in` per token.
+        let vals = pass.out.map(|y| g.value(y).to_vec()).unwrap_or_default();
+        for ((i, seq), member) in live.iter().zip(pass.members) {
+            outcomes[*i] = Some(match member {
+                Err(cut) => Outcome::DeadlineExceeded {
+                    stage: DeadlineStage::Inference { completed_blocks: cut.completed_blocks },
+                },
+                Ok(row) => {
+                    let l = seq.len();
+                    let slice = &vals[row * l_max * d_in..row * l_max * d_in + l * d_in];
+                    if slice.iter().any(|v| !v.is_finite()) {
+                        Outcome::WorkerFailure { reason: FailureReason::NonFiniteOutput }
+                    } else {
+                        let positive = slice.iter().filter(|v| **v > 0.0).count();
+                        Outcome::Completed {
+                            tokens: l,
+                            positive_fraction: positive as f32 / slice.len().max(1) as f32,
+                        }
+                    }
                 }
             });
         }
@@ -520,8 +540,15 @@ mod tests {
             assert!(h >= last, "hint regressed at depth {depth}");
             last = h;
         }
+        // At max_batch = 1 no linger window ever forms: the hint is the
+        // load-aware base alone, whatever the linger knob and depth.
+        for (depth, capacity) in [(0usize, 16usize), (5, 16), (16, 16), (200, 256)] {
+            let base = crate::engine::load_aware_retry_after(25, depth, capacity);
+            assert_eq!(batch_aware_retry_after(base, depth, 1, 0), base);
+            assert_eq!(batch_aware_retry_after(base, depth, 1, 2), base);
+        }
         // Degenerate knobs neither divide by zero nor overflow.
-        assert_eq!(batch_aware_retry_after(10, 5, 0, 1), 16);
+        assert_eq!(batch_aware_retry_after(10, 5, 0, 1), 10);
         assert_eq!(batch_aware_retry_after(u64::MAX, 100, 4, u64::MAX), u64::MAX);
     }
 

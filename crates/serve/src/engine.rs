@@ -2,22 +2,25 @@
 //!
 //! One `ServeEngine` owns a bounded queue and a pool of worker threads,
 //! each holding its own replica of the segmentation model (same seed ->
-//! identical weights) and its own circuit breaker. The request path is:
+//! identical weights) and its own circuit breaker. Every worker runs the
+//! one serving loop in [`crate::batch::scheduler`]; "solo" serving is
+//! `max_batch = 1`. The request path is:
 //!
 //! ```text
 //! submit --> validate --> tier(queue depth) --> try_push ----> worker pool
 //!    |           |                                 |               |
 //!    |      InvalidInput                    Rejected{retry}        |
 //!    |                                                             v
-//!    |                              deadline check -> patchify(tier budget)
-//!    |                                 -> cancellable forward -> NaN guard
+//!    |              deadline check -> batch window (<= max_batch, linger)
+//!    |                 -> patchify(tier budget, content drop seed, cache)
+//!    |                 -> padded forward, expired members pruned per block
+//!    |                 -> NaN guard
 //!    +---- Ticket <------------------------------ SegResponse ----+
 //! ```
 //!
 //! Every path responds through the ticket channel; no request is dropped
 //! silently, and every response carries the tier it was admitted at.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -30,18 +33,16 @@ use apf_gigapixel::{
     DistStitchOptions, GigapixelError, Residency, SlideSegmenter, StitchConfig, TileCache,
     TileStore,
 };
-use apf_models::cancel::CancelToken;
 use apf_models::vit::{ViTConfig, ViTSegmenter};
-use apf_tensor::prelude::*;
 use apf_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 use serde::Serialize;
 
 use crate::batch::scheduler::{batch_worker_loop, BatchStats, BatchTel};
 use crate::batch::{batch_aware_retry_after, BatchConfig, BatchStatsSnapshot, CacheStats, PatchCache};
-use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
-use crate::degrade::{coarse_uniform_sequence, DegradationPolicy, Tier};
+use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition};
+use crate::degrade::{DegradationPolicy, Tier};
 use crate::fault::{InferenceFaultKind, ServeFaultPlan};
-use crate::queue::{BoundedQueue, Popped};
+use crate::queue::BoundedQueue;
 use crate::request::{
     DeadlineStage, FailureReason, Outcome, SegRequest, SegResponse, SlideRequest, Ticket,
 };
@@ -71,8 +72,8 @@ pub struct ServeConfig {
     pub policy: DegradationPolicy,
     /// Injected fault schedule (empty in production use).
     pub faults: ServeFaultPlan,
-    /// Continuous-batching scheduler + preprocessing-cache knobs. Disabled
-    /// by default: workers then run the one-request-at-a-time loop.
+    /// Batch-window and preprocessing-cache knobs. [`BatchConfig::solo`]
+    /// (the default) serves one request per forward with no cache.
     pub batch: BatchConfig,
     /// Telemetry sink for the engine's gauges, histograms, counters, and
     /// spans. [`Telemetry::disabled`] keeps the hot path at one branch per
@@ -100,16 +101,16 @@ impl ServeConfig {
             breaker: BreakerConfig::default(),
             policy,
             faults: ServeFaultPlan::none(),
-            batch: BatchConfig::disabled(),
+            batch: BatchConfig::solo(),
             telemetry: Telemetry::disabled(),
             flight_dump_dir: None,
         }
     }
 
-    /// [`ServeConfig::small`] with continuous batching switched on — the
+    /// [`ServeConfig::small`] with [`BatchConfig::batched`] windows — the
     /// test/bench shorthand for the batched engine.
     pub fn small_batched(max_batch: usize, batch_linger_ms: u64) -> Self {
-        ServeConfig { batch: BatchConfig::enabled(max_batch, batch_linger_ms), ..Self::small() }
+        ServeConfig { batch: BatchConfig::batched(max_batch, batch_linger_ms), ..Self::small() }
     }
 }
 
@@ -362,9 +363,9 @@ pub struct ServeReport {
     pub max_queue_depth: usize,
     /// The configured bound `max_queue_depth` must respect.
     pub queue_capacity: usize,
-    /// Batch scheduler counters; `None` when batching was disabled.
+    /// Batch scheduler counters; always `Some`.
     pub batch: Option<BatchStatsSnapshot>,
-    /// Preprocessing-cache counters; `None` when batching was disabled.
+    /// Preprocessing-cache counters; always `Some`.
     pub cache: Option<CacheStats>,
 }
 
@@ -465,10 +466,10 @@ pub struct ServeEngine {
     shared: Arc<Shared>,
     cfg: ServeConfig,
     handles: Vec<thread::JoinHandle<WorkerReport>>,
-    // Present only when batching is enabled: the shared preprocessing cache
-    // and the exact batch counters, surfaced through the report.
-    cache: Option<Arc<PatchCache>>,
-    batch_stats: Option<Arc<BatchStats>>,
+    // The shared preprocessing cache and the exact batch counters, surfaced
+    // through the report.
+    cache: Arc<PatchCache>,
+    batch_stats: Arc<BatchStats>,
 }
 
 impl ServeEngine {
@@ -492,30 +493,19 @@ impl ServeEngine {
             last_tier_rank: AtomicUsize::new(usize::MAX),
             tm: ServeTel::new(cfg.telemetry.clone()),
         });
-        let (cache, batch_stats, batch_tel) = if cfg.batch.enabled {
-            (
-                Some(Arc::new(PatchCache::new(cfg.batch.cache_budget_bytes, &cfg.telemetry))),
-                Some(Arc::new(BatchStats::default())),
-                Some(BatchTel::new(&cfg.telemetry)),
-            )
-        } else {
-            (None, None, None)
-        };
+        let cache = Arc::new(PatchCache::new(cfg.batch.cache_budget_bytes, &cfg.telemetry));
+        let batch_stats = Arc::new(BatchStats::default());
+        let batch_tel = BatchTel::new(&cfg.telemetry);
         let handles = (0..cfg.workers)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
                 let cfg = cfg.clone();
-                let cache = cache.clone();
-                let stats = batch_stats.clone();
+                let cache = Arc::clone(&cache);
+                let stats = Arc::clone(&batch_stats);
                 let btel = batch_tel.clone();
                 thread::Builder::new()
                     .name(format!("apf-serve-worker-{idx}"))
-                    .spawn(move || match (cache, stats, btel) {
-                        (Some(cache), Some(stats), Some(btel)) => {
-                            batch_worker_loop(idx, &shared, &cfg, &cache, &btel, &stats)
-                        }
-                        _ => worker_loop(idx, &shared, &cfg),
-                    })
+                    .spawn(move || batch_worker_loop(idx, &shared, &cfg, &cache, &btel, &stats))
                     .expect("spawn worker")
             })
             .collect();
@@ -622,37 +612,29 @@ impl ServeEngine {
     /// instead of reconverging on an already-drowning engine. Front doors
     /// reuse this hint for their own refusals (quota, drain `GoAway`).
     ///
-    /// Under batching the hint additionally accounts for the linger window
-    /// and batch-queue occupancy: a retry that lands before the current
-    /// backlog's batches have even closed is wasted, so the hint grows by
-    /// one linger per `max_batch` of queued work (plus the window the
-    /// retry itself will sit in).
+    /// With `max_batch > 1` the hint additionally accounts for the linger
+    /// window and batch-queue occupancy: a retry that lands before the
+    /// current backlog's batches have even closed is wasted, so the hint
+    /// grows by one linger per `max_batch` of queued work (plus the window
+    /// the retry itself will sit in).
     pub fn retry_after_hint(&self) -> u64 {
-        let base = load_aware_retry_after(
-            self.cfg.retry_after_ms,
-            self.shared.queue.len(),
-            self.shared.queue.capacity(),
-        );
-        if self.cfg.batch.enabled {
-            batch_aware_retry_after(
-                base,
-                self.shared.queue.len(),
-                self.cfg.batch.max_batch,
-                self.cfg.batch.batch_linger_ms,
-            )
-        } else {
-            base
-        }
+        let depth = self.shared.queue.len();
+        batch_aware_retry_after(
+            load_aware_retry_after(self.cfg.retry_after_ms, depth, self.shared.queue.capacity()),
+            depth,
+            self.cfg.batch.max_batch,
+            self.cfg.batch.batch_linger_ms,
+        )
     }
 
-    /// Preprocessing-cache counters, when batching is enabled.
+    /// Preprocessing-cache counters; always `Some`.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        Some(self.cache.stats())
     }
 
-    /// Batch scheduler counters, when batching is enabled.
+    /// Batch scheduler counters; always `Some`.
     pub fn batch_stats(&self) -> Option<BatchStatsSnapshot> {
-        self.batch_stats.as_ref().map(|s| s.snapshot())
+        Some(self.batch_stats.snapshot())
     }
 
     /// Snapshot of the aggregate counters.
@@ -682,8 +664,8 @@ impl ServeEngine {
             workers,
             max_queue_depth: self.shared.queue.max_depth(),
             queue_capacity: self.shared.queue.capacity(),
-            batch: self.batch_stats.as_ref().map(|s| s.snapshot()),
-            cache: self.cache.as_ref().map(|c| c.stats()),
+            batch: self.batch_stats(),
+            cache: self.cache_stats(),
         }
     }
 }
@@ -709,182 +691,8 @@ pub fn load_aware_retry_after(base_ms: u64, depth: usize, capacity: usize) -> u6
     base_ms.saturating_mul(multiplier)
 }
 
-fn worker_loop(idx: usize, shared: &Shared, cfg: &ServeConfig) -> WorkerReport {
-    let model = ViTSegmenter::new(cfg.model, cfg.model_seed);
-    let mut breaker = CircuitBreaker::new(cfg.breaker);
-    let mut processed: u64 = 0;
-    // Breaker transitions already mirrored into the registry; the breaker
-    // itself stays telemetry-free.
-    let mut transitions_seen = 0usize;
-    let poll = Duration::from_millis(cfg.poll_ms.max(1));
-    loop {
-        let allowed = breaker.allow();
-        // allow() can itself transition (open -> half-open after cooldown).
-        for t in &breaker.transitions()[transitions_seen..] {
-            shared.tm.record_breaker_transition(t.to);
-        }
-        transitions_seen = breaker.transitions().len();
-        if !allowed {
-            // Open breaker: out of rotation for this poll tick.
-            thread::sleep(poll);
-            continue;
-        }
-        let q = match shared.queue.pop_timeout(poll) {
-            Popped::Closed => break,
-            Popped::Empty => continue,
-            Popped::Item(q) => q,
-        };
-        shared.tm.queue_wait_s.record(q.submitted.elapsed().as_secs_f64());
-        shared.tm.queue_depth.set(shared.queue.len() as f64);
-        // Queue handoff: adopt the trace the submitting thread captured so
-        // this worker's spans are children of the admission-side span.
-        let _ctx_guard = q.trace.map(TraceContext::install);
-        let _req_span = shared.tm.tel.span_id("serve.request", q.payload.id());
-        // Blown already? Don't waste inference on it — and don't blame the
-        // worker: deadline misses never feed the breaker.
-        if q.deadline.is_some_and(|d| Instant::now() >= d) {
-            shared.respond(q, Outcome::DeadlineExceeded { stage: DeadlineStage::Queued }, Some(idx));
-            continue;
-        }
-        let fault = cfg.faults.fault_for(idx, processed);
-        if fault.is_some() {
-            shared.tm.faults_injected.inc();
-        }
-        processed += 1;
-        let outcome = {
-            let _span = shared.tm.tel.span_id("serve.inference", q.payload.id());
-            let _t = shared.tm.inference_s.start_timer();
-            catch_unwind(AssertUnwindSafe(|| match &q.payload {
-                Payload::Image(_) => run_inference(&model, &q, fault, cfg, &shared.tm),
-                Payload::Slide(req) => run_slide(&model, req, q.deadline, fault, cfg, &shared.tm),
-            }))
-            .unwrap_or_else(|_| {
-                // The contained panic is exactly what the black box exists
-                // for: record it, then freeze the preceding window to disk.
-                shared
-                    .tm
-                    .tel
-                    .flight("worker_panic", || format!("worker={idx} id={}", q.payload.id()));
-                if let Some(dir) = &cfg.flight_dump_dir {
-                    let _ = shared
-                        .tm
-                        .tel
-                        .dump_flight(dir, &format!("panic_w{idx}_{}", q.payload.id()));
-                }
-                Outcome::WorkerFailure { reason: FailureReason::Panicked }
-            })
-        };
-        match &outcome {
-            Outcome::Completed { .. } | Outcome::SlideCompleted { .. } => breaker.record_success(),
-            Outcome::WorkerFailure { .. } => breaker.record_failure(),
-            // Deadline misses and validation failures indict the request,
-            // not the worker.
-            _ => {}
-        }
-        for t in &breaker.transitions()[transitions_seen..] {
-            shared.tm.record_breaker_transition(t.to);
-        }
-        transitions_seen = breaker.transitions().len();
-        shared.respond(q, outcome, Some(idx));
-    }
-    for t in &breaker.transitions()[transitions_seen..] {
-        shared.tm.record_breaker_transition(t.to);
-    }
-    WorkerReport {
-        worker: idx,
-        processed,
-        trips: breaker.trips(),
-        recoveries: breaker.recoveries(),
-        final_state: breaker.state(),
-        transitions: breaker.transitions().to_vec(),
-    }
-}
-
-/// One inference under a tier budget and a deadline. Runs inside the
-/// worker's unwind barrier; a panic here (injected or real) becomes a
-/// `WorkerFailure { Panicked }`.
-fn run_inference(
-    model: &ViTSegmenter,
-    q: &QueuedRequest,
-    fault: Option<InferenceFaultKind>,
-    cfg: &ServeConfig,
-    tm: &ServeTel,
-) -> Outcome {
-    if let Some(InferenceFaultKind::SlowInference { delay_ms }) = fault {
-        thread::sleep(Duration::from_millis(delay_ms));
-    }
-    if let Some(InferenceFaultKind::WorkerPanic) = fault {
-        panic!("injected worker panic (fault plan)");
-    }
-    let req = match &q.payload {
-        Payload::Image(r) => r,
-        Payload::Slide(_) => unreachable!("run_inference only handles image payloads"),
-    };
-    let img = &req.image;
-    let pm = cfg.patch_size;
-    let budget = cfg
-        .policy
-        .budget_for(q.tier, img.width())
-        .min(cfg.model.seq_len)
-        .max(1);
-    let seq = {
-        let _span = tm.tel.span_id("serve.patchify", req.id);
-        match q.tier {
-            Tier::Coarse => coarse_uniform_sequence(img, cfg.policy.coarse_leaf, pm),
-            Tier::Full | Tier::Reduced => {
-                let pc = PatcherConfig::for_resolution(img.width()).with_patch_size(pm);
-                // Same telemetry sink as the engine, so core stage spans
-                // nest inside this request's span tree.
-                match AdaptivePatcher::with_telemetry(pc, tm.tel.clone()).try_patchify(img) {
-                    Ok(seq) => seq,
-                    // validate_input already passed at admission, but tier
-                    // logic must stay total: surface, don't panic.
-                    Err(e) => return Outcome::InvalidInput { reason: e.to_string() },
-                }
-            }
-        }
-    };
-    // Enforce the budget by dropping, never padding: a shorter sequence
-    // plus prefix positions is strictly cheaper than padding back to `L`.
-    let seq = if seq.len() > budget { seq.fixed_length(budget, req.id) } else { seq };
-    let l = seq.len();
-    let mut tokens = seq.to_tensor().reshape([1, l, pm * pm]);
-    if let Some(InferenceFaultKind::NonFiniteOutput) = fault {
-        // Poison one activation; NaN then propagates through the forward
-        // pass and the output guard must catch it.
-        let mut data = tokens.to_vec();
-        data[0] = f32::NAN;
-        tokens = Tensor::new([1, l, pm * pm], data);
-    }
-    let cancel = match q.deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::new(),
-    };
-    let _fwd_span = tm.tel.span_id("serve.forward", req.id);
-    let mut g = Graph::new();
-    let bp = model.params.bind(&mut g);
-    let x = g.constant(tokens);
-    match model.forward_cancellable(&mut g, &bp, x, &cancel) {
-        Err(c) => Outcome::DeadlineExceeded {
-            stage: DeadlineStage::Inference { completed_blocks: c.completed_blocks },
-        },
-        Ok(y) => {
-            let out = g.value(y);
-            if out.has_non_finite() {
-                return Outcome::WorkerFailure { reason: FailureReason::NonFiniteOutput };
-            }
-            let vals = out.to_vec();
-            let positive = vals.iter().filter(|v| **v > 0.0).count();
-            Outcome::Completed {
-                tokens: l,
-                positive_fraction: positive as f32 / vals.len().max(1) as f32,
-            }
-        }
-    }
-}
-
 /// One whole-slide stitched inference under a deadline. Runs inside the
-/// worker's unwind barrier like [`run_inference`]; the deadline is polled
+/// worker's unwind barrier; the deadline is polled
 /// between windows, so a blown deadline abandons the drive cooperatively
 /// (and the unfinished output container is removed, never half-written).
 pub(crate) fn run_slide(

@@ -2,10 +2,11 @@
 //!
 //! Follows the pattern of `apf_distsim::fault`: a seeded, replayable plan
 //! of failures the engine consults at well-defined points. Here the key is
-//! `(worker, nth-request-processed-by-that-worker)` rather than a global
-//! step — a worker's breaker behaviour then depends only on its *own*
-//! processing sequence, so breaker transitions replay exactly no matter how
-//! the scheduler interleaves workers.
+//! `(worker, nth-dispatch-by-that-worker)` rather than a global step — a
+//! worker's breaker behaviour then depends only on its *own* processing
+//! sequence, so breaker transitions replay exactly no matter how the
+//! scheduler interleaves workers. A dispatch is one forward (a whole batch)
+//! or one slide; at `max_batch = 1` dispatches are requests.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -27,12 +28,13 @@ pub enum InferenceFaultKind {
     },
 }
 
-/// A fault scheduled for a specific worker's n-th processed request.
+/// A fault scheduled for a specific worker's n-th dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InferenceFault {
     /// Worker index the fault fires on.
     pub worker: usize,
-    /// 0-based count of requests that worker has processed.
+    /// 0-based count of dispatches (batches or slides) that worker has
+    /// run; equals its requests at `max_batch = 1`.
     pub nth: u64,
     /// What happens.
     pub kind: InferenceFaultKind,
@@ -105,7 +107,7 @@ impl ServeFaultPlan {
     }
 
     /// Adds a burst of `len` consecutive faults of `kind` on one worker,
-    /// starting at its `start`-th processed request. Guarantees a breaker
+    /// starting at its `start`-th dispatch. Guarantees a breaker
     /// trip regardless of what the random plan drew (existing events in the
     /// burst window are replaced).
     pub fn with_burst(mut self, worker: usize, start: u64, len: u64, kind: InferenceFaultKind) -> Self {
@@ -118,7 +120,7 @@ impl ServeFaultPlan {
         self
     }
 
-    /// The fault, if any, for worker `worker`'s `nth` processed request.
+    /// The fault, if any, for worker `worker`'s `nth` dispatch.
     pub fn fault_for(&self, worker: usize, nth: u64) -> Option<InferenceFaultKind> {
         self.events
             .binary_search_by_key(&(worker, nth), |e| (e.worker, e.nth))

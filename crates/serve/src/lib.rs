@@ -10,9 +10,9 @@
 //! * **Admission control** — a bounded queue; full means an explicit
 //!   [`request::Outcome::Rejected`] with a retry hint, never unbounded
 //!   memory growth ([`queue`]).
-//! * **Deadlines** — cooperative cancellation checked between transformer
-//!   blocks, so a blown deadline abandons the forward pass mid-stack
-//!   instead of finishing work nobody will wait for ([`engine`]).
+//! * **Deadlines** — checked between transformer blocks for every member
+//!   of a forward, so a blown deadline drops that request from the pass
+//!   mid-stack instead of finishing work nobody will wait for ([`batch`]).
 //! * **Circuit breakers** — a worker that keeps panicking or emitting
 //!   NaN is taken out of rotation, cooled down, probed, and restored
 //!   ([`breaker`]).
@@ -26,11 +26,14 @@
 //!   over TCP with per-connection deadlines, per-tenant token-bucket
 //!   quotas, graceful drain with terminal `GoAway`s, and a retrying
 //!   backoff-aware client ([`wire`]).
-//! * **Continuous batching + content-addressed caching** — workers drain
-//!   the queue into padded multi-request forwards (per-request key-padding
-//!   masks keep every answer numerically equivalent to its solo forward),
-//!   and a byte-budgeted cache keyed by image content memoizes quadtree
-//!   builds across repeated slides with single-flight dedup ([`batch`]).
+//! * **One serving loop with continuous batching + content-addressed
+//!   caching** — workers drain the queue into padded multi-request
+//!   forwards (per-request key-padding masks keep every answer numerically
+//!   equivalent to its solo forward; "solo" serving is `max_batch = 1`),
+//!   budget trims are seeded by image content so the same pixels give the
+//!   same answer, and a byte-budgeted cache keyed by image content
+//!   memoizes quadtree builds across repeated slides with single-flight
+//!   dedup ([`batch`]).
 //!
 //! ```
 //! use apf_imaging::GrayImage;

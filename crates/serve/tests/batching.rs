@@ -1,6 +1,7 @@
-//! Engine-level behavior of the continuous-batching scheduler: batches
-//! actually form, repeated slides hit the preprocessing cache, deadline
-//! expiry inside the linger window is a typed `Batching`-stage miss, an
+//! Engine-level behavior of the serving loop: batches actually form,
+//! repeated slides hit the preprocessing cache, deadline expiry inside the
+//! linger window is a typed `Batching`-stage miss, deadline expiry inside
+//! the forward is a typed `Inference`-stage miss for that member alone, an
 //! injected NaN stays confined to its batch sample, and backpressure hints
 //! grow once a linger window stands between admission and inference.
 
@@ -9,7 +10,7 @@ use std::time::Duration;
 use apf_imaging::GrayImage;
 use apf_serve::{
     batch_aware_retry_after, DeadlineStage, FailureReason, InferenceFault, InferenceFaultKind,
-    Outcome, SegRequest, ServeConfig, ServeEngine, ServeFaultPlan,
+    Outcome, SegRequest, ServeConfig, ServeEngine, ServeFaultPlan, Ticket,
 };
 
 fn test_image(seed: u64) -> GrayImage {
@@ -103,6 +104,86 @@ fn linger_window_expiry_is_a_typed_batching_eviction() {
     let report = engine.shutdown();
     assert_eq!(report.metrics.deadline_batching, 1);
     assert_eq!(report.batch.expect("batch stats").deadline_evictions, 1);
+}
+
+/// Stalls worker 0's first dispatch for `delay_ms`, so deadlines shorter
+/// than the stall expire after the batch closed but before its forward.
+fn stall_first_dispatch(cfg: &mut ServeConfig, delay_ms: u64) {
+    cfg.workers = 1;
+    cfg.faults = ServeFaultPlan::new(vec![InferenceFault {
+        worker: 0,
+        nth: 0,
+        kind: InferenceFaultKind::SlowInference { delay_ms },
+    }]);
+}
+
+/// At `max_batch = 1` a stall longer than the request's deadline is cut at
+/// the first block check: `Inference { completed_blocks: 0 }`, and the
+/// breaker does not blame the worker.
+#[test]
+fn solo_deadline_expiring_before_the_forward_is_an_inference_miss() {
+    let mut cfg = ServeConfig::small();
+    stall_first_dispatch(&mut cfg, 300);
+    let engine = ServeEngine::start(cfg);
+    let resp = engine
+        .submit(SegRequest { id: 1, image: test_image(1), deadline_ms: Some(100) })
+        .wait()
+        .expect("engine responds");
+    assert!(
+        matches!(
+            resp.outcome,
+            Outcome::DeadlineExceeded { stage: DeadlineStage::Inference { completed_blocks: 0 } }
+        ),
+        "got {:?}",
+        resp.outcome
+    );
+    let report = engine.shutdown();
+    assert_eq!(report.metrics.deadline_inference, 1);
+    assert!(report.workers.iter().all(|w| w.trips == 0));
+}
+
+/// In a batch of four, the one member whose deadline dies during the
+/// forward is removed from it; the other three complete with exactly the
+/// answers they get when served alone.
+#[test]
+fn deadline_inside_a_batched_forward_cuts_only_its_member() {
+    let solo = ServeEngine::start(ServeConfig::small());
+    let alone: Vec<Outcome> = (0..4)
+        .map(|i| {
+            let req = SegRequest { id: i, image: test_image(i), deadline_ms: None };
+            solo.submit(req).wait().expect("engine responds").outcome
+        })
+        .collect();
+    solo.shutdown();
+
+    let mut cfg = ServeConfig::small_batched(4, 2_000);
+    stall_first_dispatch(&mut cfg, 400);
+    let engine = ServeEngine::start(cfg);
+    let tickets: Vec<Ticket> = (0..4)
+        .map(|i| {
+            let deadline_ms = (i == 2).then_some(150);
+            engine.submit(SegRequest { id: i, image: test_image(i), deadline_ms })
+        })
+        .collect();
+    for (i, t) in tickets.into_iter().enumerate() {
+        let outcome = t.wait().expect("engine responds").outcome;
+        if i == 2 {
+            assert!(
+                matches!(
+                    outcome,
+                    Outcome::DeadlineExceeded { stage: DeadlineStage::Inference { .. } }
+                ),
+                "the short-deadline member got {outcome:?}"
+            );
+        } else {
+            assert_eq!(outcome, alone[i], "member {i} differs from its solo answer");
+        }
+    }
+    let report = engine.shutdown();
+    let batch = report.batch.expect("batch stats");
+    assert_eq!((batch.batches, batch.max_occupancy), (1, 4), "one batch of four: {batch:?}");
+    assert_eq!(report.metrics.deadline_inference, 1);
+    assert_eq!(report.metrics.completed, 3);
 }
 
 /// A NaN injected into one batch member must not leak into the others:

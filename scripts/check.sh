@@ -73,6 +73,11 @@ grep -q '"speedup_ok": true' results/batch_bench.json \
   || { echo "batch_bench: batched throughput below 2x baseline" >&2; exit 1; }
 grep -q '"cache_hit_rate_ok": true' results/batch_bench.json \
   || { echo "batch_bench: cache hit rate below 90%" >&2; exit 1; }
+# Ablation rows (reported, not gated): presence only.
+grep -q '"cache_only"' results/batch_bench.json \
+  || { echo "batch_bench: cache-only ablation row not archived" >&2; exit 1; }
+grep -q '"batch_only"' results/batch_bench.json \
+  || { echo "batch_bench: batch-only ablation row not archived" >&2; exit 1; }
 
 echo "==> frontdoor_soak --scale gate (>= 1e5 batched requests, zero failures, >= 90% cache hits)"
 rm -f results/frontdoor_soak_scale.json
