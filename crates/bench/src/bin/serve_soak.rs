@@ -21,8 +21,8 @@
 use apf_bench::{print_table, save_atomic, save_json, Args};
 use apf_imaging::GrayImage;
 use apf_serve::{
-    BatchConfig, BreakerConfig, BreakerState, DegradationPolicy, InferenceFault,
-    InferenceFaultKind, Outcome, SegRequest, SegResponse, ServeConfig, ServeEngine, ServeFaultPlan,
+    BatchConfig, BreakerConfig, BreakerState, DegradationPolicy, FaultPlan, InferenceFault,
+    InferenceFaultKind, Outcome, SegRequest, SegResponse, ServeConfig, ServeEngine,
     ServeFaultRates, ServeMetrics, ServeReport, SlideRequest, Tier, Ticket, WorkerReport,
 };
 use apf_telemetry::{validate_jsonl, HistogramSnapshot, Telemetry, TelemetrySnapshot};
@@ -147,16 +147,15 @@ fn main() {
     // breaker — and nothing else, so its half-open probes are guaranteed to
     // succeed and the run deterministically witnesses a full
     // open -> half-open -> closed recovery cycle.
-    let random = ServeFaultPlan::random(seed, steps, workers, ServeFaultRates::default());
+    let random = ServeFaultRates::default().random(seed, steps, workers);
     let side_faults: Vec<InferenceFault> = random
         .events()
         .iter()
         .copied()
         .filter(|e| e.worker != 0)
         .collect();
-    let plan = ServeFaultPlan::new(side_faults).with_burst(
-        0,
-        1,
+    let plan = FaultPlan::new(side_faults).with_burst(
+        (0, 1),
         breaker.failure_threshold as u64,
         InferenceFaultKind::WorkerPanic,
     );

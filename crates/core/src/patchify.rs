@@ -12,7 +12,6 @@ use apf_tensor::tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::quadtree::LeafRegion;
 
@@ -124,7 +123,7 @@ impl PatchSequence {
 pub fn extract_patches(img: &GrayImage, leaves: &[LeafRegion], pm: usize) -> PatchSequence {
     assert!(pm >= 1, "patch size must be positive");
     let patches: Vec<Patch> = leaves
-        .par_iter()
+        .iter()
         .map(|leaf| {
             let crop = img.crop(leaf.x as usize, leaf.y as usize, leaf.size as usize, leaf.size as usize);
             let proj = if leaf.size as usize == pm {
@@ -150,7 +149,7 @@ pub fn extract_patches(img: &GrayImage, leaves: &[LeafRegion], pm: usize) -> Pat
 pub fn extract_patches_nearest(img: &GrayImage, leaves: &[LeafRegion], pm: usize) -> PatchSequence {
     assert!(pm >= 1, "patch size must be positive");
     let patches: Vec<Patch> = leaves
-        .par_iter()
+        .iter()
         .map(|leaf| {
             let crop = img.crop(leaf.x as usize, leaf.y as usize, leaf.size as usize, leaf.size as usize);
             let proj = if leaf.size as usize == pm {

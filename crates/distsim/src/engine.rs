@@ -43,7 +43,7 @@ use apf_train::optim::{AdamW, AdamWConfig};
 use apf_train::trainer::TokenSegModel;
 
 use crate::allreduce::{ring_allreduce_mean, ring_allreduce_mean_checked};
-use crate::fault::{FaultKind, FaultPlan, RecoveryEvent};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, RecoveryEvent};
 
 /// Flattens ordered per-parameter gradients into one buffer (ring input).
 fn flatten_grads(params: &ParamSet, grads: &[(ParamId, Tensor)]) -> Vec<f32> {
@@ -162,7 +162,7 @@ pub struct DataParallelEngine<M: TokenSegModel + Send> {
     master: ParamSet,
     opt: AdamW,
     loss_cfg: ComboLossConfig,
-    fault_plan: FaultPlan,
+    fault_plan: FaultPlan<FaultEvent>,
     step_idx: u64,
     trace: Vec<RecoveryEvent>,
     max_comm_retries: u32,
@@ -205,7 +205,7 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
     }
 
     /// Installs a fault schedule (see [`FaultPlan`]); builder style.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+    pub fn with_fault_plan(mut self, plan: FaultPlan<FaultEvent>) -> Self {
         self.fault_plan = plan;
         self
     }
@@ -279,7 +279,7 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
     /// worker position: (straggler delay ms, corrupt outgoing traffic,
     /// poison gradients with NaN).
     fn apply_faults(&mut self, step: u64) -> (Vec<u64>, Vec<usize>, Vec<usize>) {
-        let events: Vec<_> = self.fault_plan.events_at(step).copied().collect();
+        let events = self.fault_plan.at(step).to_vec();
         // Crashes first: the surviving positions shift, and the remaining
         // events target the post-crash topology.
         for e in &events {
@@ -538,7 +538,7 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultEvent, FaultRates};
+    use crate::fault::FaultRates;
     use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
     use apf_imaging::paip::{PaipConfig, PaipGenerator};
     use apf_models::rearrange::GridOrder;
@@ -991,7 +991,7 @@ mod tests {
             straggler_ms: (1, 3),
         };
         let run = |seed: u64| {
-            let plan = FaultPlan::random(seed, 6, 4, rates);
+            let plan = rates.random(seed, 6, 4);
             let mut e = DataParallelEngine::new(factory, 4, cfg).with_fault_plan(plan);
             let mut losses = Vec::new();
             for _ in 0..6 {

@@ -8,10 +8,10 @@
 //!
 //! Three layers:
 //!
-//! - [`FabricFaultPlan`] — per-`(worker, nth-item)` injected panics and
-//!   stragglers, mirroring `apf-serve`'s `ServeFaultPlan` keying (the
-//!   engine's [`crate::FaultPlan`] is step-keyed and does not fit a pool
-//!   where workers process different numbers of items).
+//! - [`FabricFaultEvent`] — per-`(worker, nth-item)` injected panics and
+//!   stragglers for a [`FaultPlan`], keyed like `apf-serve`'s inference
+//!   faults (the engine's step key does not fit a pool where workers
+//!   process different numbers of items).
 //! - [`StealScheduler`] — the shared queue discipline: each worker owns a
 //!   deque seeded with a contiguous block of item indices, pops its own
 //!   front, and when empty steals from the back of the longest surviving
@@ -36,6 +36,8 @@ use std::time::{Duration, Instant};
 use apf_telemetry::{Telemetry, TraceContext};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+use crate::fault::{Fault, FaultPlan};
 
 /// Thread-name prefix of fabric workers; used by the quiet panic hook.
 pub const FABRIC_THREAD_PREFIX: &str = "apf-fabric-worker";
@@ -65,7 +67,21 @@ pub struct FabricFaultEvent {
     pub kind: FabricFaultKind,
 }
 
-/// Probabilities for [`FabricFaultPlan::random`], per worker-item.
+impl Fault for FabricFaultEvent {
+    type Key = (usize, u64);
+    type Kind = FabricFaultKind;
+    fn key(&self) -> (usize, u64) {
+        (self.worker, self.nth)
+    }
+    fn kind(&self) -> FabricFaultKind {
+        self.kind
+    }
+    fn new((worker, nth): (usize, u64), kind: FabricFaultKind) -> Self {
+        FabricFaultEvent { worker, nth, kind }
+    }
+}
+
+/// Probabilities for [`FabricFaultRates::random`], per worker-item.
 #[derive(Debug, Clone, Copy)]
 pub struct FabricFaultRates {
     /// Probability a worker panics on a given item.
@@ -82,42 +98,24 @@ impl Default for FabricFaultRates {
     }
 }
 
-/// A deterministic `(worker, nth)`-keyed schedule of fabric faults.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FabricFaultPlan {
-    events: Vec<FabricFaultEvent>,
-}
-
-impl FabricFaultPlan {
-    /// A plan with no faults.
-    pub fn none() -> Self {
-        FabricFaultPlan::default()
-    }
-
-    /// Builds a plan from explicit events (sorted for binary lookup).
-    pub fn new(mut events: Vec<FabricFaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.worker, e.nth));
-        events.dedup_by_key(|e| (e.worker, e.nth));
-        FabricFaultPlan { events }
-    }
-
-    /// Seeded random plan over `per_worker` items on each of `workers`
-    /// workers. At most `workers - 1` panics are scheduled so the pool
-    /// never empties. Same inputs, same plan.
-    pub fn random(seed: u64, per_worker: u64, workers: usize, rates: FabricFaultRates) -> Self {
+impl FabricFaultRates {
+    /// Draws a seeded random plan over `per_worker` items on each of
+    /// `workers` workers. At most `workers - 1` panics are scheduled so the
+    /// pool never empties. Same inputs, same plan.
+    pub fn random(self, seed: u64, per_worker: u64, workers: usize) -> FaultPlan<FabricFaultEvent> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut events = Vec::new();
         let mut panics = 0usize;
         for worker in 0..workers {
             for nth in 0..per_worker {
-                if panics + 1 < workers && rng.gen_bool(rates.panic) {
+                if panics + 1 < workers && rng.gen_bool(self.panic) {
                     events.push(FabricFaultEvent { worker, nth, kind: FabricFaultKind::Panic });
                     panics += 1;
                     // A dead worker picks up nothing further.
                     break;
                 }
-                if rng.gen_bool(rates.straggler) {
-                    let delay_ms = rng.gen_range(rates.straggler_ms.0..=rates.straggler_ms.1);
+                if rng.gen_bool(self.straggler) {
+                    let delay_ms = rng.gen_range(self.straggler_ms.0..=self.straggler_ms.1);
                     events.push(FabricFaultEvent {
                         worker,
                         nth,
@@ -126,34 +124,7 @@ impl FabricFaultPlan {
                 }
             }
         }
-        FabricFaultPlan::new(events)
-    }
-
-    /// Adds a burst of identical faults on one worker's items
-    /// `[start, start + len)`.
-    pub fn with_burst(mut self, worker: usize, start: u64, len: u64, kind: FabricFaultKind) -> Self {
-        for nth in start..start + len {
-            self.events.push(FabricFaultEvent { worker, nth, kind });
-        }
-        FabricFaultPlan::new(self.events)
-    }
-
-    /// The fault (if any) for the `nth` item `worker` starts.
-    pub fn fault_for(&self, worker: usize, nth: u64) -> Option<FabricFaultKind> {
-        self.events
-            .binary_search_by_key(&(worker, nth), |e| (e.worker, e.nth))
-            .ok()
-            .map(|i| self.events[i].kind)
-    }
-
-    /// All scheduled events, sorted by `(worker, nth)`.
-    pub fn events(&self) -> &[FabricFaultEvent] {
-        &self.events
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        FaultPlan::new(events)
     }
 }
 
@@ -432,12 +403,12 @@ pub fn install_quiet_fabric_panics() {
 /// threads, containing panics (a panicking worker dies permanently and
 /// its items move to survivors), and returns results in item order.
 ///
-/// `job(worker, index, &item)` may panic; [`FabricFaultPlan`] faults are
+/// `job(worker, index, &item)` may panic; [`FabricFaultEvent`] faults are
 /// applied per `(worker, nth-started-item)` before the closure runs.
 pub fn run_ordered<T, R, F>(
     items: &[T],
     workers: usize,
-    faults: &FabricFaultPlan,
+    faults: &FaultPlan<FabricFaultEvent>,
     tel: &Telemetry,
     job: F,
 ) -> Result<(Vec<R>, FabricStats), FabricError>
@@ -500,7 +471,7 @@ where
                                 continue;
                             }
                             Next::Item(i) => {
-                                let fault = faults.fault_for(w, nth);
+                                let fault = faults.fault_for((w, nth));
                                 nth += 1;
                                 let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                                     // Opened inside the unwind boundary: a
@@ -576,21 +547,21 @@ mod tests {
 
     #[test]
     fn plans_are_seed_deterministic_and_lookup_works() {
-        let a = FabricFaultPlan::random(7, 40, 4, FabricFaultRates::default());
-        let b = FabricFaultPlan::random(7, 40, 4, FabricFaultRates::default());
+        let a = FabricFaultRates::default().random(7, 40, 4);
+        let b = FabricFaultRates::default().random(7, 40, 4);
         assert_eq!(a, b);
-        let plan = FabricFaultPlan::none().with_burst(1, 3, 2, FabricFaultKind::Panic);
-        assert_eq!(plan.fault_for(1, 3), Some(FabricFaultKind::Panic));
-        assert_eq!(plan.fault_for(1, 4), Some(FabricFaultKind::Panic));
-        assert_eq!(plan.fault_for(1, 5), None);
-        assert_eq!(plan.fault_for(0, 3), None);
+        let plan = FaultPlan::<FabricFaultEvent>::none().with_burst((1, 3), 2, FabricFaultKind::Panic);
+        assert_eq!(plan.fault_for((1, 3)), Some(FabricFaultKind::Panic));
+        assert_eq!(plan.fault_for((1, 4)), Some(FabricFaultKind::Panic));
+        assert_eq!(plan.fault_for((1, 5)), None);
+        assert_eq!(plan.fault_for((0, 3)), None);
     }
 
     #[test]
     fn random_plan_never_panics_every_worker() {
         for seed in 0..20 {
             let heavy = FabricFaultRates { panic: 0.6, ..Default::default() };
-            let plan = FabricFaultPlan::random(seed, 50, 3, heavy);
+            let plan = heavy.random(seed, 50, 3);
             let panics = plan
                 .events()
                 .iter()
@@ -675,7 +646,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let items: Vec<usize> = (0..40).collect();
         let (out, stats) =
-            run_ordered(&items, 4, &FabricFaultPlan::none(), &tel, |_w, _i, &x| x * 2).unwrap();
+            run_ordered(&items, 4, &FaultPlan::none(), &tel, |_w, _i, &x| x * 2).unwrap();
         assert_eq!(out, (0..40).map(|x| x * 2).collect::<Vec<_>>());
         assert_eq!(stats.per_worker_items.iter().sum::<u64>(), 40);
         assert_eq!(stats.worker_panics, 0);
@@ -690,7 +661,7 @@ mod tests {
         // survivor succeeds. Guarantees exactly one contained death
         // regardless of which worker the scheduler hands item 5 to.
         let tripped = AtomicBool::new(false);
-        let (out, stats) = run_ordered(&items, 4, &FabricFaultPlan::none(), &tel, |_w, i, &x| {
+        let (out, stats) = run_ordered(&items, 4, &FaultPlan::none(), &tel, |_w, i, &x| {
             if i == 5 && !tripped.swap(true, Ordering::SeqCst) {
                 panic!("organic worker failure on item 5");
             }
@@ -710,7 +681,7 @@ mod tests {
         let ctx = tel.new_trace().expect("sampling defaults to on");
         let _guard = ctx.install();
         let items: Vec<usize> = (0..16).collect();
-        let plan = FabricFaultPlan::none().with_burst(1, 0, 1, FabricFaultKind::Panic);
+        let plan = FaultPlan::none().with_burst((1, 0), 1, FabricFaultKind::Panic);
         // Items must outlast thread spawn, or the first worker drains the
         // whole list before worker 1 ever picks up its faulted item.
         let (_, stats) = run_ordered(&items, 3, &plan, &tel, |_w, _i, &x| {
@@ -745,9 +716,9 @@ mod tests {
     fn all_workers_dead_is_a_typed_error() {
         let tel = Telemetry::disabled();
         let items: Vec<usize> = (0..10).collect();
-        let plan = FabricFaultPlan::none()
-            .with_burst(0, 0, 1, FabricFaultKind::Panic)
-            .with_burst(1, 0, 1, FabricFaultKind::Panic);
+        let plan = FaultPlan::none()
+            .with_burst((0, 0), 1, FabricFaultKind::Panic)
+            .with_burst((1, 0), 1, FabricFaultKind::Panic);
         let err = run_ordered(&items, 2, &plan, &tel, |_w, _i, &x| x).unwrap_err();
         match err {
             FabricError::AllWorkersDead { completed, total } => {
@@ -762,7 +733,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let items: Vec<usize> = (0..8).collect();
         let plan =
-            FabricFaultPlan::none().with_burst(0, 0, 2, FabricFaultKind::Straggler { delay_ms: 5 });
+            FaultPlan::none().with_burst((0, 0), 2, FabricFaultKind::Straggler { delay_ms: 5 });
         let (out, _) = run_ordered(&items, 2, &plan, &tel, |_w, _i, &x| x).unwrap();
         assert_eq!(out, items);
     }

@@ -38,9 +38,9 @@ pub use cost::{step_cost, ModelDims, StepCost};
 pub use engine::{DataParallelEngine, StepReport};
 pub use fabric::{
     install_quiet_fabric_panics, run_ordered, simulate_makespan, FabricError, FabricFaultEvent,
-    FabricFaultKind, FabricFaultPlan, FabricFaultRates, FabricStats, Next, SimulatedSchedule,
-    StealScheduler, FABRIC_THREAD_PREFIX,
+    FabricFaultKind, FabricFaultRates, FabricStats, Next, SimulatedSchedule, StealScheduler,
+    FABRIC_THREAD_PREFIX,
 };
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, RecoveryEvent};
+pub use fault::{Fault, FaultEvent, FaultKey, FaultKind, FaultPlan, FaultRates, RecoveryEvent};
 pub use gpu::{Fabric, GpuSpec};
 pub use tree_allreduce::{tree_allreduce_mean, tree_allreduce_mean_checked, tree_allreduce_seconds};

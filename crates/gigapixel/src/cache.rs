@@ -5,8 +5,7 @@
 //! tiles in Morton (Z-curve) order — the same order the streaming quadtree
 //! and the stitching driver consume tiles in, so a prefetched batch is
 //! consumed before it is evicted. Payload reads hold the store's file lock;
-//! checksum verification and f32 decoding run outside it on rayon
-//! iterators.
+//! checksum verification and f32 decoding run after the reads, outside it.
 //!
 //! Hits, misses, evictions, and resident bytes are exported as
 //! `apf_gigapixel_cache_*` metrics; bulk operations open `gigapixel.*`
@@ -18,7 +17,6 @@ use std::sync::{Arc, Mutex};
 use apf_core::morton_encode;
 use apf_imaging::GrayImage;
 use apf_telemetry::{Counter, Gauge, Histogram, Telemetry};
-use rayon::prelude::*;
 
 use crate::error::GigapixelError;
 use crate::residency::Residency;
@@ -193,8 +191,8 @@ impl TileCache {
     }
 
     /// Warms `tiles` (deduplicated) in Morton order. Raw payloads are read
-    /// sequentially under the store's file lock; CRC verification and
-    /// decoding fan out on rayon.
+    /// first, under the store's file lock; CRC verification and decoding
+    /// follow, outside it.
     pub fn prefetch(&self, tiles: &[(u32, u32)]) -> Result<(), GigapixelError> {
         let _span = self.tel.span("gigapixel.prefetch");
         let mut wanted: Vec<(u32, u32)> = tiles.to_vec();
@@ -211,7 +209,7 @@ impl TileCache {
             .map(|&(tx, ty)| self.store.read_tile_bytes(tx, ty).map(|b| ((tx, ty), b)))
             .collect::<Result<_, _>>()?;
         let decoded: Vec<((u32, u32), Vec<f32>)> = raw
-            .par_iter()
+            .iter()
             .map(|((tx, ty), bytes)| {
                 match self.store.verify_and_decode(*tx, *ty, bytes) {
                     Ok(d) => Ok(((*tx, *ty), d)),

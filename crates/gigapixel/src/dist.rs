@@ -33,9 +33,10 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use apf_distsim::fabric::{
-    install_quiet_fabric_panics, FabricFaultKind, FabricFaultPlan, Next, StealScheduler,
+    install_quiet_fabric_panics, FabricFaultEvent, FabricFaultKind, Next, StealScheduler,
     FABRIC_THREAD_PREFIX,
 };
+use apf_distsim::fault::FaultPlan;
 use apf_imaging::GrayImage;
 use apf_models::checkpoint::{load_with_state, save_with_state, TrainState};
 use apf_models::ParamSet;
@@ -59,7 +60,7 @@ const STITCH_SCHEMA: u64 = 1;
 #[derive(Debug, Clone, Default)]
 pub struct StitchFaultPlan {
     /// Worker panics / stragglers, keyed `(worker, nth-window-started)`.
-    pub fabric: FabricFaultPlan,
+    pub fabric: FaultPlan<FabricFaultEvent>,
     /// Crash the nth checkpoint write (0-based) this run: the primary is
     /// left torn on disk after rotation, simulating a non-atomic
     /// filesystem, and the drive dies with a typed error.
@@ -620,7 +621,7 @@ impl<'m> SlideSegmenter<'m> {
                                 Next::Wait => std::thread::sleep(Duration::from_millis(1)),
                                 Next::Item(i) => {
                                     let k = start_k + i;
-                                    let fault = faults.fault_for(wi, nth);
+                                    let fault = faults.fault_for((wi, nth));
                                     nth += 1;
                                     let ran = panic::catch_unwind(AssertUnwindSafe(|| {
                                         // Inside the unwind boundary: a

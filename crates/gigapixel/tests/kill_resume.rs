@@ -10,7 +10,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apf_distsim::fabric::{FabricFaultKind, FabricFaultPlan};
+use apf_distsim::fabric::FabricFaultKind;
+use apf_distsim::fault::FaultPlan;
 use apf_gigapixel::{
     load_stitch_checkpoint, write_tiled, DistStitchOptions, GigapixelError, Residency,
     SlideSegmenter, StitchConfig, TileCache, TileStore,
@@ -230,9 +231,9 @@ fn injected_worker_panics_and_stragglers_do_not_corrupt_output() {
     let seg = SlideSegmenter::new(&model, stitch_cfg(), tel.clone());
     let out = test_dir().join("faulty_out.apt1");
     let mut opts = DistStitchOptions::new(3);
-    opts.faults.fabric = FabricFaultPlan::none()
-        .with_burst(1, 0, 1, FabricFaultKind::Straggler { delay_ms: 10 })
-        .with_burst(2, 1, 1, FabricFaultKind::Panic);
+    opts.faults.fabric = FaultPlan::none()
+        .with_burst((1, 0), 1, FabricFaultKind::Straggler { delay_ms: 10 })
+        .with_burst((2, 1), 1, FabricFaultKind::Panic);
     let report = seg
         .segment_store_distributed(&cache, &out, &res, &opts, || false)
         .unwrap();
@@ -253,9 +254,9 @@ fn all_workers_dead_is_a_typed_error_with_no_final_output() {
     let mut opts = DistStitchOptions::new(2);
     // Every window any worker starts panics: the pool must empty and the
     // drive must report it instead of hanging.
-    opts.faults.fabric = FabricFaultPlan::none()
-        .with_burst(0, 0, 9, FabricFaultKind::Panic)
-        .with_burst(1, 0, 9, FabricFaultKind::Panic);
+    opts.faults.fabric = FaultPlan::none()
+        .with_burst((0, 0), 9, FabricFaultKind::Panic)
+        .with_burst((1, 0), 9, FabricFaultKind::Panic);
     let err = seg
         .segment_store_distributed(&cache, &out, &res, &opts, || false)
         .unwrap_err();
@@ -280,9 +281,9 @@ fn deadline_fires_while_a_worker_stalls() {
     // Whichever worker starts first stalls for far longer than the
     // deadline; cancellation must fire from the merge loop's poll, not
     // wait for a window to complete.
-    opts.faults.fabric = FabricFaultPlan::none()
-        .with_burst(0, 0, 1, FabricFaultKind::Straggler { delay_ms: 2_000 })
-        .with_burst(1, 0, 1, FabricFaultKind::Straggler { delay_ms: 2_000 });
+    opts.faults.fabric = FaultPlan::none()
+        .with_burst((0, 0), 1, FabricFaultKind::Straggler { delay_ms: 2_000 })
+        .with_burst((1, 0), 1, FabricFaultKind::Straggler { delay_ms: 2_000 });
     let t0 = Instant::now();
     let err = seg
         .segment_store_distributed(&cache, &out, &res, &opts, || {

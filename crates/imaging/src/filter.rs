@@ -1,7 +1,5 @@
 //! Separable Gaussian blur and Sobel gradients.
 
-use rayon::prelude::*;
-
 use crate::image::GrayImage;
 
 /// A 1D Gaussian kernel of odd size `k`.
@@ -40,7 +38,7 @@ pub fn gaussian_blur(img: &GrayImage, k: usize, sigma: f32) -> GrayImage {
 
     // Horizontal pass.
     let mut tmp = vec![0.0f32; w * h];
-    tmp.par_chunks_mut(w).enumerate().for_each(|(y, row)| {
+    for (y, row) in tmp.chunks_mut(w).enumerate() {
         for (x, out) in row.iter_mut().enumerate() {
             let mut s = 0.0;
             for (i, &kv) in kernel.iter().enumerate() {
@@ -48,12 +46,12 @@ pub fn gaussian_blur(img: &GrayImage, k: usize, sigma: f32) -> GrayImage {
             }
             *out = s;
         }
-    });
+    }
     let tmp_img = GrayImage::from_raw(w, h, tmp);
 
     // Vertical pass.
     let mut out = vec![0.0f32; w * h];
-    out.par_chunks_mut(w).enumerate().for_each(|(y, row)| {
+    for (y, row) in out.chunks_mut(w).enumerate() {
         for (x, o) in row.iter_mut().enumerate() {
             let mut s = 0.0;
             for (i, &kv) in kernel.iter().enumerate() {
@@ -61,7 +59,7 @@ pub fn gaussian_blur(img: &GrayImage, k: usize, sigma: f32) -> GrayImage {
             }
             *o = s;
         }
-    });
+    }
     GrayImage::from_raw(w, h, out)
 }
 
@@ -70,20 +68,17 @@ pub fn sobel(img: &GrayImage) -> (GrayImage, GrayImage) {
     let (w, h) = (img.width(), img.height());
     let mut gx = vec![0.0f32; w * h];
     let mut gy = vec![0.0f32; w * h];
-    gx.par_chunks_mut(w)
-        .zip(gy.par_chunks_mut(w))
-        .enumerate()
-        .for_each(|(y, (gxr, gyr))| {
-            let yi = y as isize;
-            for x in 0..w {
-                let xi = x as isize;
-                let p = |dx: isize, dy: isize| img.get_clamped(xi + dx, yi + dy);
-                gxr[x] = (p(1, -1) + 2.0 * p(1, 0) + p(1, 1))
-                    - (p(-1, -1) + 2.0 * p(-1, 0) + p(-1, 1));
-                gyr[x] = (p(-1, 1) + 2.0 * p(0, 1) + p(1, 1))
-                    - (p(-1, -1) + 2.0 * p(0, -1) + p(1, -1));
-            }
-        });
+    for (y, (gxr, gyr)) in gx.chunks_mut(w).zip(gy.chunks_mut(w)).enumerate() {
+        let yi = y as isize;
+        for x in 0..w {
+            let xi = x as isize;
+            let p = |dx: isize, dy: isize| img.get_clamped(xi + dx, yi + dy);
+            gxr[x] = (p(1, -1) + 2.0 * p(1, 0) + p(1, 1))
+                - (p(-1, -1) + 2.0 * p(-1, 0) + p(-1, 1));
+            gyr[x] = (p(-1, 1) + 2.0 * p(0, 1) + p(1, 1))
+                - (p(-1, -1) + 2.0 * p(0, -1) + p(1, -1));
+        }
+    }
     (
         GrayImage::from_raw(w, h, gx),
         GrayImage::from_raw(w, h, gy),

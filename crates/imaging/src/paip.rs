@@ -20,8 +20,6 @@
 //!
 //! All sampling is deterministic in `(seed, sample_index)`.
 
-use rayon::prelude::*;
-
 use crate::image::GrayImage;
 use crate::noise::{fbm, value_noise};
 
@@ -178,28 +176,25 @@ impl PaipGenerator {
 
         let mut img = vec![0.0f32; w * h];
         let mut mask = vec![0.0f32; w * h];
-        img.par_chunks_mut(w)
-            .zip(mask.par_chunks_mut(w))
-            .enumerate()
-            .for_each(|(dy, (irow, mrow))| {
-                let v = (y0 + dy) as f32 * inv;
-                for dx in 0..w {
-                    let u = (x0 + dx) as f32 * inv;
-                    let (pix, m) = Self::shade(
-                        sample_seed,
-                        u,
-                        v,
-                        extent,
-                        octaves,
-                        tissue_scale,
-                        lesion_scale,
-                        tissue_dark,
-                        &blobs,
-                    );
-                    irow[dx] = pix;
-                    mrow[dx] = m;
-                }
-            });
+        for (dy, (irow, mrow)) in img.chunks_mut(w).zip(mask.chunks_mut(w)).enumerate() {
+            let v = (y0 + dy) as f32 * inv;
+            for dx in 0..w {
+                let u = (x0 + dx) as f32 * inv;
+                let (pix, m) = Self::shade(
+                    sample_seed,
+                    u,
+                    v,
+                    extent,
+                    octaves,
+                    tissue_scale,
+                    lesion_scale,
+                    tissue_dark,
+                    &blobs,
+                );
+                irow[dx] = pix;
+                mrow[dx] = m;
+            }
+        }
         PaipSample {
             image: GrayImage::from_raw(w, h, img),
             mask: GrayImage::from_raw(w, h, mask),

@@ -6,8 +6,6 @@
 //! downscale factors > 1 and is also used to derive lower-resolution dataset
 //! variants from high-resolution sources.
 
-use rayon::prelude::*;
-
 use crate::image::GrayImage;
 
 /// Area-average resample to an arbitrary target size.
@@ -23,7 +21,7 @@ pub fn resize_area(img: &GrayImage, out_w: usize, out_h: usize) -> GrayImage {
     let sx = img.width() as f64 / out_w as f64;
     let sy = img.height() as f64 / out_h as f64;
     let mut out = vec![0.0f32; out_w * out_h];
-    out.par_chunks_mut(out_w).enumerate().for_each(|(oy, row)| {
+    for (oy, row) in out.chunks_mut(out_w).enumerate() {
         let y0 = oy as f64 * sy;
         let y1 = (oy + 1) as f64 * sy;
         for (ox, o) in row.iter_mut().enumerate() {
@@ -31,7 +29,7 @@ pub fn resize_area(img: &GrayImage, out_w: usize, out_h: usize) -> GrayImage {
             let x1 = (ox + 1) as f64 * sx;
             *o = box_average(img, x0, y0, x1, y1);
         }
-    });
+    }
     GrayImage::from_raw(out_w, out_h, out)
 }
 

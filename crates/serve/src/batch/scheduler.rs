@@ -201,7 +201,7 @@ pub(crate) fn batch_worker_loop(
         // Slides run solo: minutes of stitching must not hold a linger
         // window (or a formed batch) hostage.
         if matches!(seed.payload, Payload::Slide(_)) {
-            let fault = cfg.faults.fault_for(idx, dispatches);
+            let fault = cfg.faults.fault_for((idx, dispatches));
             if fault.is_some() {
                 shared.tm.faults_injected.inc();
             }
@@ -294,7 +294,7 @@ pub(crate) fn batch_worker_loop(
         if ready.is_empty() {
             continue;
         }
-        let fault = cfg.faults.fault_for(idx, dispatches);
+        let fault = cfg.faults.fault_for((idx, dispatches));
         if fault.is_some() {
             shared.tm.faults_injected.inc();
         }

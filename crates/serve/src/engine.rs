@@ -29,6 +29,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
+use apf_distsim::fault::FaultPlan;
 use apf_gigapixel::{
     DistStitchOptions, GigapixelError, Residency, SlideSegmenter, StitchConfig, TileCache,
     TileStore,
@@ -41,7 +42,7 @@ use crate::batch::scheduler::{batch_worker_loop, BatchStats, BatchTel};
 use crate::batch::{batch_aware_retry_after, BatchConfig, BatchStatsSnapshot, CacheStats, PatchCache};
 use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition};
 use crate::degrade::{DegradationPolicy, Tier};
-use crate::fault::{InferenceFaultKind, ServeFaultPlan};
+use crate::fault::{InferenceFault, InferenceFaultKind};
 use crate::queue::BoundedQueue;
 use crate::request::{
     DeadlineStage, FailureReason, Outcome, SegRequest, SegResponse, SlideRequest, Ticket,
@@ -71,7 +72,7 @@ pub struct ServeConfig {
     /// Queue-depth -> tier mapping and per-tier budgets.
     pub policy: DegradationPolicy,
     /// Injected fault schedule (empty in production use).
-    pub faults: ServeFaultPlan,
+    pub faults: FaultPlan<InferenceFault>,
     /// Batch-window and preprocessing-cache knobs. [`BatchConfig::solo`]
     /// (the default) serves one request per forward with no cache.
     pub batch: BatchConfig,
@@ -100,7 +101,7 @@ impl ServeConfig {
             poll_ms: 2,
             breaker: BreakerConfig::default(),
             policy,
-            faults: ServeFaultPlan::none(),
+            faults: FaultPlan::none(),
             batch: BatchConfig::solo(),
             telemetry: Telemetry::disabled(),
             flight_dump_dir: None,
@@ -858,9 +859,9 @@ mod tests {
         cfg.workers = 1;
         cfg.queue_capacity = 4;
         // Slow every request down so the queue actually fills.
-        cfg.faults = ServeFaultPlan::new(
+        cfg.faults = FaultPlan::new(
             (0..200)
-                .map(|nth| crate::fault::InferenceFault {
+                .map(|nth| InferenceFault {
                     worker: 0,
                     nth,
                     kind: InferenceFaultKind::SlowInference { delay_ms: 30 },
@@ -898,9 +899,9 @@ mod tests {
         let mut cfg = ServeConfig::small();
         cfg.workers = 1;
         cfg.queue_capacity = 8;
-        cfg.faults = ServeFaultPlan::new(
+        cfg.faults = FaultPlan::new(
             (0..100)
-                .map(|nth| crate::fault::InferenceFault {
+                .map(|nth| InferenceFault {
                     worker: 0,
                     nth,
                     kind: InferenceFaultKind::SlowInference { delay_ms: 25 },
@@ -944,7 +945,7 @@ mod tests {
         let mut cfg = ServeConfig::small();
         cfg.workers = 1;
         cfg.breaker = BreakerConfig { failure_threshold: 2, cooldown_polls: 3, half_open_successes: 2 };
-        cfg.faults = ServeFaultPlan::none().with_burst(0, 1, 2, InferenceFaultKind::WorkerPanic);
+        cfg.faults = FaultPlan::none().with_burst((0, 1), 2, InferenceFaultKind::WorkerPanic);
         let engine = ServeEngine::start(cfg);
         let tickets: Vec<Ticket> = (0..8)
             .map(|id| {
@@ -1174,7 +1175,7 @@ mod tests {
         cfg.policy.full_len = 48;
         // Stall the worker past the deadline before the drive starts: the
         // first between-window cancellation check then fires deterministically.
-        cfg.faults = ServeFaultPlan::new(vec![crate::fault::InferenceFault {
+        cfg.faults = FaultPlan::new(vec![InferenceFault {
             worker: 0,
             nth: 0,
             kind: InferenceFaultKind::SlowInference { delay_ms: 400 },
@@ -1274,7 +1275,7 @@ mod tests {
         // completes (the injected stall eats the whole deadline).
         let mut stalled = cfg.clone();
         stalled.workers = 1;
-        stalled.faults = ServeFaultPlan::new(vec![crate::fault::InferenceFault {
+        stalled.faults = FaultPlan::new(vec![InferenceFault {
             worker: 0,
             nth: 0,
             kind: InferenceFaultKind::SlowInference { delay_ms: 400 },
@@ -1425,7 +1426,7 @@ mod tests {
     fn injected_nan_is_caught_by_the_output_guard() {
         let mut cfg = ServeConfig::small();
         cfg.workers = 1;
-        cfg.faults = ServeFaultPlan::new(vec![crate::fault::InferenceFault {
+        cfg.faults = FaultPlan::new(vec![InferenceFault {
             worker: 0,
             nth: 0,
             kind: InferenceFaultKind::NonFiniteOutput,

@@ -57,6 +57,7 @@ pub mod queue;
 pub mod request;
 pub mod wire;
 
+pub use apf_distsim::fault::FaultPlan;
 pub use batch::{
     batch_aware_retry_after, BatchConfig, BatchStatsSnapshot, CacheKey, CacheOutcome, CacheStats,
     ContentKey, PatchCache, VariantKey,
@@ -64,12 +65,12 @@ pub use batch::{
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use degrade::{coarse_uniform_sequence, DegradationPolicy, Tier};
 pub use engine::{ServeConfig, ServeEngine, ServeMetrics, ServeReport, WorkerReport};
-pub use fault::{InferenceFault, InferenceFaultKind, ServeFaultPlan, ServeFaultRates};
+pub use fault::{InferenceFault, InferenceFaultKind, ServeFaultRates};
 pub use queue::{BoundedQueue, Popped, PushError};
 pub use request::{
     DeadlineStage, FailureReason, Outcome, SegRequest, SegResponse, SlideRequest, Ticket,
 };
 pub use wire::{
-    ClientConfig, ClientError, NetFaultPlan, QuotaConfig, QuotaLimit, WireClient, WireConfig,
-    WireError, WireRequest, WireServer, WireStatus,
+    ClientConfig, ClientError, QuotaConfig, QuotaLimit, WireClient, WireConfig, WireError,
+    WireRequest, WireServer, WireStatus,
 };

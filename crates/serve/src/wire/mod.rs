@@ -13,7 +13,7 @@
 //! * [`client`] — the reconnecting, backoff-aware caller
 //!   ([`WireClient`]).
 //! * [`netfault`] — seeded socket-level fault injection
-//!   ([`NetFaultPlan`]) used by the soak and the loopback tests here.
+//!   ([`NetFault`] plans) used by the soak and the loopback tests here.
 //!
 //! See `DESIGN.md` §12 for the frame layout, the status ↔ [`Outcome`]
 //! mapping table, the drain state machine, and quota semantics.
@@ -33,7 +33,7 @@ pub use frame::{
     WireRequest, WireStatus, DEFAULT_MAX_PAYLOAD, FLAG_TRACE_CONTEXT, HEADER_LEN, TRACE_EXT_LEN,
     WIRE_MAGIC, WIRE_VERSION,
 };
-pub use netfault::{NetFault, NetFaultKind, NetFaultPlan, NetFaultRates};
+pub use netfault::{NetFault, NetFaultKind, NetFaultRates};
 pub use quota::{QuotaConfig, QuotaLimit, TenantAccount, TenantQuotas};
 pub use server::{ConnSummary, DrainReport, WireConfig, WireServer};
 
@@ -42,6 +42,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    use apf_distsim::fault::FaultPlan;
     use apf_telemetry::Telemetry;
 
     use crate::engine::{ServeConfig, ServeEngine};
@@ -138,7 +139,7 @@ mod tests {
         let engine = engine();
         let srv = server(&engine, QuotaConfig::default());
         // Faults on attempts 0 and 1; attempt 2 goes through clean.
-        let plan = NetFaultPlan::new(vec![
+        let plan = FaultPlan::new(vec![
             NetFault { nth: 0, kind: NetFaultKind::Garbage { len: 24 } },
             NetFault { nth: 1, kind: NetFaultKind::TornWrite { keep_bytes: 11 } },
         ]);
@@ -157,7 +158,7 @@ mod tests {
         let engine = engine();
         let srv = server(&engine, QuotaConfig::default());
         // Stall far past the 60 ms server read deadline mid-header.
-        let plan = NetFaultPlan::new(vec![NetFault {
+        let plan = FaultPlan::new(vec![NetFault {
             nth: 0,
             kind: NetFaultKind::StalledWrite { keep_bytes: 9, stall_ms: 250 },
         }]);

@@ -1,10 +1,10 @@
 //! Seeded network-fault injection at the socket layer.
 //!
-//! The engine already has `ServeFaultPlan` for in-process faults; this is
-//! its byte-level sibling. A [`NetFaultPlan`] is a deterministic schedule
-//! keyed by a client's attempt counter; when an attempt is faulted, the
-//! client's send path mangles the connection instead of (or while)
-//! transmitting the request frame:
+//! The engine's inference faults cover in-process failures; these are
+//! their byte-level sibling. A [`FaultPlan`] of [`NetFault`]s is a
+//! deterministic schedule keyed by a client's attempt counter; when an
+//! attempt is faulted, the client's send path mangles the connection
+//! instead of (or while) transmitting the request frame:
 //!
 //! * **Torn write** — only a prefix of the frame goes out before the
 //!   socket is shut down. The server must answer with a typed
@@ -18,6 +18,7 @@
 //! The faulted attempt always looks like transport failure to the client,
 //! which exercises its reconnect + backoff path under the same seed.
 
+use apf_distsim::fault::{Fault, FaultPlan};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -67,7 +68,21 @@ pub struct NetFault {
     pub kind: NetFaultKind,
 }
 
-/// Per-attempt probabilities for [`NetFaultPlan::random`].
+impl Fault for NetFault {
+    type Key = u64;
+    type Kind = NetFaultKind;
+    fn key(&self) -> u64 {
+        self.nth
+    }
+    fn kind(&self) -> NetFaultKind {
+        self.kind
+    }
+    fn new(nth: u64, kind: NetFaultKind) -> Self {
+        NetFault { nth, kind }
+    }
+}
+
+/// Per-attempt probabilities for [`NetFaultRates::random`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetFaultRates {
     /// Probability an attempt's frame is torn mid-write.
@@ -94,82 +109,46 @@ impl Default for NetFaultRates {
     }
 }
 
-/// A deterministic schedule of socket faults for one client.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    events: Vec<NetFault>,
-}
-
-impl NetFaultPlan {
-    /// No faults.
-    pub fn none() -> Self {
-        NetFaultPlan::default()
-    }
-
-    /// Builds a plan from explicit events.
-    pub fn new(mut events: Vec<NetFault>) -> Self {
-        events.sort_by_key(|e| e.nth);
-        events.dedup_by_key(|e| e.nth);
-        NetFaultPlan { events }
-    }
-
-    /// Seeded random plan over the first `attempts` attempts. Same
+impl NetFaultRates {
+    /// Draws a seeded random plan over the first `attempts` attempts. Same
     /// `(seed, attempts, rates)` -> same plan. At most one fault per slot.
     /// `keep_bytes` draws small (inside the header) half the time and
     /// mid-payload otherwise, so both torn shapes occur.
-    pub fn random(seed: u64, attempts: u64, rates: NetFaultRates) -> Self {
+    pub fn random(self, seed: u64, attempts: u64) -> FaultPlan<NetFault> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut events = Vec::new();
         for nth in 0..attempts {
-            if rng.gen_bool(rates.torn) {
+            if rng.gen_bool(self.torn) {
                 let keep_bytes = if rng.gen_bool(0.5) {
                     rng.gen_range(1usize..super::frame::HEADER_LEN)
                 } else {
                     rng.gen_range(super::frame::HEADER_LEN..super::frame::HEADER_LEN + 64)
                 };
                 events.push(NetFault { nth, kind: NetFaultKind::TornWrite { keep_bytes } });
-            } else if rng.gen_bool(rates.stall) {
+            } else if rng.gen_bool(self.stall) {
                 let keep_bytes = rng.gen_range(1usize..super::frame::HEADER_LEN);
-                let stall_ms = rng.gen_range(rates.stall_ms.0..=rates.stall_ms.1);
+                let stall_ms = rng.gen_range(self.stall_ms.0..=self.stall_ms.1);
                 events.push(NetFault { nth, kind: NetFaultKind::StalledWrite { keep_bytes, stall_ms } });
-            } else if rng.gen_bool(rates.disconnect) {
+            } else if rng.gen_bool(self.disconnect) {
                 events.push(NetFault { nth, kind: NetFaultKind::Disconnect });
-            } else if rng.gen_bool(rates.garbage) {
+            } else if rng.gen_bool(self.garbage) {
                 let len = rng.gen_range(1usize..96);
                 events.push(NetFault { nth, kind: NetFaultKind::Garbage { len } });
             }
         }
-        NetFaultPlan { events }
+        FaultPlan::new(events)
     }
+}
 
-    /// The fault, if any, for the `nth` attempt.
-    pub fn fault_for(&self, nth: u64) -> Option<NetFaultKind> {
-        self.events
-            .binary_search_by_key(&nth, |e| e.nth)
-            .ok()
-            .map(|i| self.events[i].kind)
+/// Seeded garbage bytes for a [`NetFaultKind::Garbage`] attempt —
+/// deterministic, and guaranteed not to start with the frame magic.
+pub fn garbage_bytes(seed: u64, nth: u64, len: usize) -> Vec<u8> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ nth.rotate_left(17));
+    let mut out: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+    if out.first() == Some(&b'A') {
+        out[0] = b'Z';
     }
-
-    /// All scheduled events.
-    pub fn events(&self) -> &[NetFault] {
-        &self.events
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Seeded garbage bytes for a [`NetFaultKind::Garbage`] attempt —
-    /// deterministic, and guaranteed not to start with the frame magic.
-    pub fn garbage_bytes(seed: u64, nth: u64, len: usize) -> Vec<u8> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ nth.rotate_left(17));
-        let mut out: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        if out.first() == Some(&b'A') {
-            out[0] = b'Z';
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -178,15 +157,15 @@ mod tests {
 
     #[test]
     fn plans_replay_exactly() {
-        let a = NetFaultPlan::random(3, 200, NetFaultRates::default());
-        let b = NetFaultPlan::random(3, 200, NetFaultRates::default());
+        let a = NetFaultRates::default().random(3, 200);
+        let b = NetFaultRates::default().random(3, 200);
         assert_eq!(a, b);
-        assert_ne!(a, NetFaultPlan::random(4, 200, NetFaultRates::default()));
+        assert_ne!(a, NetFaultRates::default().random(4, 200));
     }
 
     #[test]
     fn all_fault_kinds_appear_at_default_rates() {
-        let plan = NetFaultPlan::random(11, 2000, NetFaultRates::default());
+        let plan = NetFaultRates::default().random(11, 2000);
         let mut labels: Vec<&str> = plan.events().iter().map(|e| e.kind.label()).collect();
         labels.sort();
         labels.dedup();
@@ -196,21 +175,10 @@ mod tests {
     #[test]
     fn garbage_never_masquerades_as_a_frame() {
         for nth in 0..64 {
-            let g = NetFaultPlan::garbage_bytes(5, nth, 16);
+            let g = garbage_bytes(5, nth, 16);
             assert_eq!(g.len(), 16);
             assert_ne!(&g[..4], b"APFW");
-            assert_eq!(g, NetFaultPlan::garbage_bytes(5, nth, 16));
+            assert_eq!(g, garbage_bytes(5, nth, 16));
         }
-    }
-
-    #[test]
-    fn lookup_is_by_attempt() {
-        let plan = NetFaultPlan::new(vec![
-            NetFault { nth: 4, kind: NetFaultKind::Disconnect },
-            NetFault { nth: 2, kind: NetFaultKind::Garbage { len: 8 } },
-        ]);
-        assert_eq!(plan.fault_for(2), Some(NetFaultKind::Garbage { len: 8 }));
-        assert_eq!(plan.fault_for(4), Some(NetFaultKind::Disconnect));
-        assert_eq!(plan.fault_for(3), None);
     }
 }

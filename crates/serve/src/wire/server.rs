@@ -242,7 +242,7 @@ pub struct DrainReport {
     pub conn_panics: u64,
     /// Connections turned away at the cap.
     pub conn_limit_rejections: u64,
-    /// Per-connection summaries: at most [`REAPED_SUMMARIES_KEPT`] of the
+    /// Per-connection summaries: at most `REAPED_SUMMARIES_KEPT` of the
     /// most recently closed connections, plus every connection live at
     /// drain time.
     pub connections: Vec<ConnSummary>,

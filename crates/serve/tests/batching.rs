@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use apf_imaging::GrayImage;
 use apf_serve::{
-    batch_aware_retry_after, DeadlineStage, FailureReason, InferenceFault, InferenceFaultKind,
-    Outcome, SegRequest, ServeConfig, ServeEngine, ServeFaultPlan, Ticket,
+    batch_aware_retry_after, DeadlineStage, FailureReason, FaultPlan, InferenceFault,
+    InferenceFaultKind, Outcome, SegRequest, ServeConfig, ServeEngine, Ticket,
 };
 
 fn test_image(seed: u64) -> GrayImage {
@@ -110,7 +110,7 @@ fn linger_window_expiry_is_a_typed_batching_eviction() {
 /// than the stall expire after the batch closed but before its forward.
 fn stall_first_dispatch(cfg: &mut ServeConfig, delay_ms: u64) {
     cfg.workers = 1;
-    cfg.faults = ServeFaultPlan::new(vec![InferenceFault {
+    cfg.faults = FaultPlan::new(vec![InferenceFault {
         worker: 0,
         nth: 0,
         kind: InferenceFaultKind::SlowInference { delay_ms },
@@ -194,7 +194,7 @@ fn deadline_inside_a_batched_forward_cuts_only_its_member() {
 fn injected_nan_stays_confined_to_its_batch_sample() {
     let mut cfg = ServeConfig::small_batched(4, 80);
     cfg.workers = 1;
-    cfg.faults = ServeFaultPlan::new(vec![InferenceFault {
+    cfg.faults = FaultPlan::new(vec![InferenceFault {
         worker: 0,
         nth: 0,
         kind: InferenceFaultKind::NonFiniteOutput,

@@ -187,9 +187,9 @@ impl Graph {
     }
 
     /// Layer normalization over the last dim with affine parameters
-    /// `gamma`/`beta` of shape `[D]`. Dispatches between the row-parallel
-    /// fused kernel and its bit-identical sequential reference on
-    /// [`crate::kernels::kernel_mode`].
+    /// `gamma`/`beta` of shape `[D]`. Dispatches between the fused kernel
+    /// (backend-vectorised affine loop) and its bit-identical scalar
+    /// reference on [`crate::kernels::kernel_mode`].
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let xv = self.value(x);
         let (rows, d) = xv.shape().split_trailing(1);

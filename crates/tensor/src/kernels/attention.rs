@@ -20,8 +20,6 @@
 //! rows in both. Masked keys arrive as a large-negative additive bias
 //! (`-1e9`), not `-inf`, so fully-masked rows stay finite.
 
-use rayon::prelude::*;
-
 use super::backend::{self, MicroKernelBackend};
 use super::stats;
 
@@ -85,11 +83,9 @@ pub fn fused_attention_forward(
         cs.fused_attention.inc();
     }
     // Resolve the micro-kernel backend once per call, outside the
-    // parallel loop, so every batch-head uses the same implementation.
+    // batch-head loop, so every batch-head uses the same implementation.
     let bk = backend::active();
-    let mut per_bh: Vec<(&mut [f32], &mut [f32])> =
-        out.chunks_mut(lq * dh).zip(lse.chunks_mut(lq)).collect();
-    per_bh.par_iter_mut().enumerate().for_each(|(b, (outb, lseb))| {
+    for (b, (outb, lseb)) in out.chunks_mut(lq * dh).zip(lse.chunks_mut(lq)).enumerate() {
         forward_one(
             bk,
             &q[b * lq * dh..(b + 1) * lq * dh],
@@ -105,7 +101,7 @@ pub fn fused_attention_forward(
             outb,
             lseb,
         );
-    });
+    }
 }
 
 /// One batch-head of the streaming forward.
@@ -372,36 +368,28 @@ pub fn fused_attention_backward(
         return;
     }
     let bk = backend::active();
-    #[allow(clippy::type_complexity)]
-    let mut per_bh: Vec<((&mut [f32], &mut [f32]), &mut [f32])> = dq
-        .chunks_mut(lq * dh)
-        .zip(dk.chunks_mut(lk * dh))
-        .zip(dv.chunks_mut(lk * dh))
-        .collect();
-    per_bh
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(b, ((dqb, dkb), dvb))| {
-            backward_one(
-                bk,
-                &q[b * lq * dh..(b + 1) * lq * dh],
-                &k[b * lk * dh..(b + 1) * lk * dh],
-                &v[b * lk * dh..(b + 1) * lk * dh],
-                key_bias.map(|bias| &bias[b * lk..(b + 1) * lk]),
-                &out[b * lq * dh..(b + 1) * lq * dh],
-                &lse[b * lq..(b + 1) * lq],
-                &d_out[b * lq * dh..(b + 1) * lq * dh],
-                lq,
-                lk,
-                dh,
-                scale,
-                q_tile,
-                k_tile,
-                dqb,
-                dkb,
-                dvb,
-            );
-        });
+    let per_bh = dq.chunks_mut(lq * dh).zip(dk.chunks_mut(lk * dh)).zip(dv.chunks_mut(lk * dh));
+    for (b, ((dqb, dkb), dvb)) in per_bh.enumerate() {
+        backward_one(
+            bk,
+            &q[b * lq * dh..(b + 1) * lq * dh],
+            &k[b * lk * dh..(b + 1) * lk * dh],
+            &v[b * lk * dh..(b + 1) * lk * dh],
+            key_bias.map(|bias| &bias[b * lk..(b + 1) * lk]),
+            &out[b * lq * dh..(b + 1) * lq * dh],
+            &lse[b * lq..(b + 1) * lq],
+            &d_out[b * lq * dh..(b + 1) * lq * dh],
+            lq,
+            lk,
+            dh,
+            scale,
+            q_tile,
+            k_tile,
+            dqb,
+            dkb,
+            dvb,
+        );
+    }
 }
 
 /// One batch-head of the tile-recomputing backward.

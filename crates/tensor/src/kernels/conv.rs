@@ -1,11 +1,10 @@
 //! 2D convolution kernels (NCHW) via im2col / col2im.
 //!
 //! `conv2d` lowers each image to a column matrix and multiplies by the
-//! flattened weights — one GEMM per batch element, parallel over the
-//! batch, so the convolution rides the packed-SGEMM fast path (and with
-//! it the SIMD micro-kernel backends). Output-channel counts below the
-//! packed kernel's `m >= 4` dispatch floor (segmentation heads with few
-//! classes) are lowered through the transposed product
+//! flattened weights — one GEMM per batch element, so the convolution
+//! rides the packed-SGEMM fast path (and with it the SIMD micro-kernel
+//! backends). Output-channel counts below the packed kernel's `m >= 4`
+//! dispatch floor (segmentation heads with few classes) are lowered through the transposed product
 //! `out^T = col^T · W^T` instead, whose `m` is the large spatial extent —
 //! so small-`Cout` head convs stop bypassing the tuned kernels.
 //! `conv_transpose2d` is the adjoint: a GEMM followed by `col2im`.
@@ -13,8 +12,6 @@
 //! [`conv2d_direct`] is the textbook quadruple-loop reference: the
 //! differential oracle's ground truth for the im2col lowering, and the
 //! path `conv2d` takes in naive kernel mode (`APF_NAIVE_KERNELS`).
-
-use rayon::prelude::*;
 
 use crate::kernels::gemm::{gemm, gemm_packed, PACK_FLOPS};
 use crate::tensor::Tensor;
@@ -111,7 +108,7 @@ pub fn col2im(cols_mat: &[f32], c: usize, h: usize, w: usize, g: ConvGeom, img: 
 
 /// Forward conv2d: `x [B,Cin,H,W] * w [Cout,Cin,K,K] + b [Cout]` -> `[B,Cout,Ho,Wo]`.
 ///
-/// Fast mode lowers via im2col + SGEMM (see [`conv_gemm`] for the
+/// Fast mode lowers via im2col + SGEMM (see `conv_gemm` for the
 /// small-`Cout` transposed variant); naive kernel mode takes
 /// [`conv2d_direct`].
 pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
@@ -134,8 +131,8 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -
     let img_len = cin * h * w;
     let out_len = cout * cols;
 
-    out.par_chunks_mut(out_len).enumerate().for_each(|(i, ob)| {
-        let mut col = vec![0.0f32; col_rows * cols];
+    let mut col = vec![0.0f32; col_rows * cols];
+    for (i, ob) in out.chunks_mut(out_len).enumerate() {
         im2col(&x.data()[i * img_len..(i + 1) * img_len], cin, h, w, g, &mut col);
         conv_gemm(weight.data(), &col, ob, cout, col_rows, cols);
         if let Some(bias) = bias {
@@ -145,7 +142,7 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -
                 }
             }
         }
-    });
+    }
     Tensor::new([b, cout, ho, wo], out)
 }
 
@@ -190,7 +187,7 @@ pub fn conv2d_direct(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: Conv
     let img_len = cin * h * w;
     let out_len = cout * ho * wo;
     let mut out = vec![0.0f32; b * out_len];
-    out.par_chunks_mut(out_len).enumerate().for_each(|(bi, ob)| {
+    for (bi, ob) in out.chunks_mut(out_len).enumerate() {
         let img = &x.data()[bi * img_len..(bi + 1) * img_len];
         for co in 0..cout {
             let wgt = &weight.data()[co * cin * k * k..(co + 1) * cin * k * k];
@@ -218,7 +215,7 @@ pub fn conv2d_direct(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: Conv
                 }
             }
         }
-    });
+    }
     Tensor::new([b, cout, ho, wo], out)
 }
 
@@ -239,51 +236,34 @@ pub fn conv2d_backward(
     let img_len = cin * h * w;
     let out_len = cout * cols;
 
-    // Per-batch partials, reduced after the parallel loop to avoid locking.
-    let partials: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = (0..b)
-        .into_par_iter()
-        .map(|i| {
-            let xi = &x.data()[i * img_len..(i + 1) * img_len];
-            let goi = &grad_out.data()[i * out_len..(i + 1) * out_len];
-
-            let mut col = vec![0.0f32; col_rows * cols];
-            im2col(xi, cin, h, w, g, &mut col);
-
-            // grad_w += grad_out [Cout, cols] x col^T [cols, col_rows]
-            let mut colt = vec![0.0f32; cols * col_rows];
-            transpose(&col, col_rows, cols, &mut colt);
-            let mut gw = vec![0.0f32; cout * col_rows];
-            gemm(goi, &colt, &mut gw, cout, cols, col_rows);
-
-            // grad_b += sum over spatial
-            let mut gb = vec![0.0f32; cout];
-            for co in 0..cout {
-                gb[co] = goi[co * cols..(co + 1) * cols].iter().sum();
-            }
-
-            // grad_col = W^T [col_rows, Cout] x grad_out [Cout, cols]
-            let mut wt = vec![0.0f32; col_rows * cout];
-            transpose(weight.data(), cout, col_rows, &mut wt);
-            let mut gcol = vec![0.0f32; col_rows * cols];
-            gemm(&wt, goi, &mut gcol, col_rows, cout, cols);
-            let mut gx = vec![0.0f32; img_len];
-            col2im(&gcol, cin, h, w, g, &mut gx);
-
-            (gx, gw, gb)
-        })
-        .collect();
+    let mut wt = vec![0.0f32; col_rows * cout];
+    transpose(weight.data(), cout, col_rows, &mut wt);
 
     let mut grad_x = vec![0.0f32; b * img_len];
     let mut grad_w = vec![0.0f32; weight.numel()];
     let mut grad_b = vec![0.0f32; cout];
-    for (i, (gx, gw, gb)) in partials.into_iter().enumerate() {
-        grad_x[i * img_len..(i + 1) * img_len].copy_from_slice(&gx);
-        for (d, s) in grad_w.iter_mut().zip(gw.iter()) {
-            *d += s;
+    let mut col = vec![0.0f32; col_rows * cols];
+    let mut colt = vec![0.0f32; cols * col_rows];
+    let mut gw = vec![0.0f32; cout * col_rows];
+    let mut gcol = vec![0.0f32; col_rows * cols];
+    // Samples accumulate into grad_w/grad_b in batch order.
+    for i in 0..b {
+        let goi = &grad_out.data()[i * out_len..(i + 1) * out_len];
+        im2col(&x.data()[i * img_len..(i + 1) * img_len], cin, h, w, g, &mut col);
+
+        // grad_w += grad_out [Cout, cols] x col^T [cols, col_rows]
+        transpose(&col, col_rows, cols, &mut colt);
+        gemm(goi, &colt, &mut gw, cout, cols, col_rows);
+        add_into(&mut grad_w, &gw);
+
+        // grad_b += sum over spatial
+        for (co, gb) in grad_b.iter_mut().enumerate() {
+            *gb += goi[co * cols..(co + 1) * cols].iter().sum::<f32>();
         }
-        for (d, s) in grad_b.iter_mut().zip(gb.iter()) {
-            *d += s;
-        }
+
+        // grad_col = W^T [col_rows, Cout] x grad_out [Cout, cols]
+        gemm(&wt, goi, &mut gcol, col_rows, cout, cols);
+        col2im(&gcol, cin, h, w, g, &mut grad_x[i * img_len..(i + 1) * img_len]);
     }
     (
         Tensor::new(x.shape().clone(), grad_x),
@@ -316,9 +296,9 @@ pub fn conv_transpose2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: C
     transpose(weight.data(), cin, col_rows, &mut wt);
 
     let mut out = vec![0.0f32; b * out_len];
-    out.par_chunks_mut(out_len).enumerate().for_each(|(i, ob)| {
+    let mut tmp = vec![0.0f32; col_rows * cols];
+    for (i, ob) in out.chunks_mut(out_len).enumerate() {
         let xi = &x.data()[i * img_len..(i + 1) * img_len];
-        let mut tmp = vec![0.0f32; col_rows * cols];
         gemm(&wt, xi, &mut tmp, col_rows, cin, cols);
         col2im(&tmp, cout, ho, wo, g, ob);
         if let Some(bias) = bias {
@@ -329,7 +309,7 @@ pub fn conv_transpose2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: C
                 }
             }
         }
-    });
+    }
     Tensor::new([b, cout, ho, wo], out)
 }
 
@@ -350,45 +330,32 @@ pub fn conv_transpose2d_backward(
     let img_len = cin * cols;
     let out_len = cout * ho * wo;
 
-    let partials: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = (0..b)
-        .into_par_iter()
-        .map(|i| {
-            let xi = &x.data()[i * img_len..(i + 1) * img_len];
-            let goi = &grad_out.data()[i * out_len..(i + 1) * out_len];
-
-            // grad wrt tmp = im2col(grad_out): [Cout*K*K, H*W]
-            let mut gcol = vec![0.0f32; col_rows * cols];
-            im2col(goi, cout, ho, wo, g, &mut gcol);
-
-            // grad_x = W [Cin, Cout*K*K] x gcol
-            let mut gx = vec![0.0f32; img_len];
-            gemm(weight.data(), &gcol, &mut gx, cin, col_rows, cols);
-
-            // grad_W = x_b [Cin, H*W] x gcol^T [H*W, Cout*K*K]
-            let mut gcolt = vec![0.0f32; cols * col_rows];
-            transpose(&gcol, col_rows, cols, &mut gcolt);
-            let mut gw = vec![0.0f32; cin * col_rows];
-            gemm(xi, &gcolt, &mut gw, cin, cols, col_rows);
-
-            let spatial = ho * wo;
-            let mut gb = vec![0.0f32; cout];
-            for co in 0..cout {
-                gb[co] = goi[co * spatial..(co + 1) * spatial].iter().sum();
-            }
-            (gx, gw, gb)
-        })
-        .collect();
-
+    let spatial = ho * wo;
     let mut grad_x = vec![0.0f32; b * img_len];
     let mut grad_w = vec![0.0f32; weight.numel()];
     let mut grad_b = vec![0.0f32; cout];
-    for (i, (gx, gw, gb)) in partials.into_iter().enumerate() {
-        grad_x[i * img_len..(i + 1) * img_len].copy_from_slice(&gx);
-        for (d, s) in grad_w.iter_mut().zip(gw.iter()) {
-            *d += s;
-        }
-        for (d, s) in grad_b.iter_mut().zip(gb.iter()) {
-            *d += s;
+    let mut gcol = vec![0.0f32; col_rows * cols];
+    let mut gcolt = vec![0.0f32; cols * col_rows];
+    let mut gw = vec![0.0f32; cin * col_rows];
+    // Samples accumulate into grad_w/grad_b in batch order.
+    for i in 0..b {
+        let xi = &x.data()[i * img_len..(i + 1) * img_len];
+        let goi = &grad_out.data()[i * out_len..(i + 1) * out_len];
+
+        // grad wrt tmp = im2col(grad_out): [Cout*K*K, H*W]
+        im2col(goi, cout, ho, wo, g, &mut gcol);
+
+        // grad_x = W [Cin, Cout*K*K] x gcol
+        let gxi = &mut grad_x[i * img_len..(i + 1) * img_len];
+        gemm(weight.data(), &gcol, gxi, cin, col_rows, cols);
+
+        // grad_W += x_b [Cin, H*W] x gcol^T [H*W, Cout*K*K]
+        transpose(&gcol, col_rows, cols, &mut gcolt);
+        gemm(xi, &gcolt, &mut gw, cin, cols, col_rows);
+        add_into(&mut grad_w, &gw);
+
+        for (co, gb) in grad_b.iter_mut().enumerate() {
+            *gb += goi[co * spatial..(co + 1) * spatial].iter().sum::<f32>();
         }
     }
     (
@@ -406,6 +373,13 @@ pub fn transpose(a: &[f32], r: usize, c: usize, out: &mut [f32]) {
         for j in 0..c {
             out[j * r + i] = a[i * c + j];
         }
+    }
+}
+
+/// `dst += src`, elementwise.
+fn add_into(dst: &mut [f32], src: &[f32]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
 }
 
@@ -541,6 +515,57 @@ mod tests {
         let (gx, _, _) = conv2d_backward(&x, &w, &y, g);
         let rhs: f32 = x.data().iter().zip(gx.data().iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-2, "{} vs {}", lhs, rhs);
+    }
+
+    /// Sample `i` of an NCHW tensor as a batch of one.
+    fn sample(t: &Tensor, i: usize) -> Tensor {
+        let d = t.dims();
+        let len = d[1] * d[2] * d[3];
+        Tensor::new([1, d[1], d[2], d[3]], t.data()[i * len..(i + 1) * len].to_vec())
+    }
+
+    /// A batched backward must equal the per-sample B=1 calls with
+    /// `grad_w`/`grad_b` summed in sample order, bit for bit.
+    fn assert_backward_accumulates_in_sample_order(
+        backward: fn(&Tensor, &Tensor, &Tensor, ConvGeom) -> (Tensor, Tensor, Tensor),
+        x: &Tensor,
+        w: &Tensor,
+        grad_out: &Tensor,
+        g: ConvGeom,
+    ) {
+        let (gx, gw, gb) = backward(x, w, grad_out, g);
+        let mut want_gx = Vec::new();
+        let mut want_gw = vec![0.0f32; gw.numel()];
+        let mut want_gb = vec![0.0f32; gb.numel()];
+        for i in 0..x.dims()[0] {
+            let (sx, sw, sb) = backward(&sample(x, i), w, &sample(grad_out, i), g);
+            want_gx.extend_from_slice(sx.data());
+            for (d, s) in want_gw.iter_mut().zip(sw.data()) {
+                *d += s;
+            }
+            for (d, s) in want_gb.iter_mut().zip(sb.data()) {
+                *d += s;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(gx.data()), bits(&want_gx), "grad_x");
+        assert_eq!(bits(gw.data()), bits(&want_gw), "grad_w");
+        assert_eq!(bits(gb.data()), bits(&want_gb), "grad_b");
+    }
+
+    #[test]
+    fn conv_backward_batch_of_three_is_bit_exact_with_sample_sums() {
+        let g = ConvGeom { kernel: 3, stride: 1, pad: 1 };
+        let x = Tensor::rand_uniform([3, 4, 10, 10], -1.0, 1.0, 11);
+        let w = Tensor::rand_uniform([8, 4, 3, 3], -1.0, 1.0, 12);
+        let go = Tensor::rand_uniform([3, 8, 10, 10], -1.0, 1.0, 13);
+        assert_backward_accumulates_in_sample_order(conv2d_backward, &x, &w, &go, g);
+
+        let gt = ConvGeom { kernel: 2, stride: 2, pad: 0 };
+        let xt = Tensor::rand_uniform([3, 8, 5, 5], -1.0, 1.0, 14);
+        let wt = Tensor::rand_uniform([8, 4, 2, 2], -1.0, 1.0, 15);
+        let got = Tensor::rand_uniform([3, 4, 10, 10], -1.0, 1.0, 16);
+        assert_backward_accumulates_in_sample_order(conv_transpose2d_backward, &xt, &wt, &got, gt);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //!
 //! The bit-exactness contract extends through the [`super::backend`]
 //! layer: the layernorm affine loop and the bias+GELU loop route through
-//! [`MicroKernelBackend::ln_affine_row`] /
-//! [`MicroKernelBackend::bias_gelu_row`], whose trait contract forbids
-//! FMA contraction or reordering — a vectorized override must produce the
-//! exact scalar bits. The mean/variance reductions stay in scalar
-//! summation order here, outside the backend, for the same reason.
-
-use rayon::prelude::*;
+//! [`MicroKernelBackend::ln_affine_row`](super::backend::MicroKernelBackend::ln_affine_row) /
+//! [`MicroKernelBackend::bias_gelu_row`](super::backend::MicroKernelBackend::bias_gelu_row),
+//! whose trait contract forbids FMA contraction or reordering — a
+//! vectorized override must produce the exact scalar bits. The
+//! mean/variance reductions stay in scalar summation order here, outside
+//! the backend, for the same reason.
 
 use super::backend;
 use super::stats;
@@ -55,9 +54,9 @@ pub fn bias_gelu_forward(x: &[f32], bias: &[f32], out: &mut [f32]) {
         cs.fused_bias_gelu.inc();
     }
     let bk = backend::active();
-    out.par_chunks_mut(tile).enumerate().for_each(|(r, orow)| {
+    for (r, orow) in out.chunks_mut(tile).enumerate() {
         bk.bias_gelu_row(&x[r * tile..(r + 1) * tile], bias, orow);
-    });
+    }
 }
 
 /// `gx[i] = g[i] * gelu'(x[i] + bias[i % tile])` — the input-side backward
@@ -71,7 +70,7 @@ pub fn bias_gelu_backward(x: &[f32], bias: &[f32], g: &[f32], gx: &mut [f32]) {
     }
     let tile = bias.len();
     assert!(tile > 0 && x.len().is_multiple_of(tile), "bias_gelu: bias must tile x");
-    gx.par_chunks_mut(tile).enumerate().for_each(|(r, grow)| {
+    for (r, grow) in gx.chunks_mut(tile).enumerate() {
         let xrow = &x[r * tile..(r + 1) * tile];
         let gsrc = &g[r * tile..(r + 1) * tile];
         for (((o, &xv), &bv), &gv) in
@@ -79,12 +78,12 @@ pub fn bias_gelu_backward(x: &[f32], bias: &[f32], g: &[f32], gx: &mut [f32]) {
         {
             *o = gv * gelu_grad(xv + bv);
         }
-    });
+    }
 }
 
 /// Row-wise layer normalization: `out = (x - mean) * invstd * gamma + beta`
 /// over `rows` rows of width `d`, also writing per-row `mean`/`invstd` for
-/// backward. Row-parallel; within a row the summation order matches
+/// backward. Within a row the summation order matches
 /// [`layernorm_naive`] exactly, so the two are bit-identical.
 ///
 /// # Panics
@@ -114,16 +113,12 @@ pub fn layernorm_forward(
         cs.fused_layernorm.inc();
     }
     let bk = backend::active();
-    let mut per_row: Vec<((&mut [f32], &mut f32), &mut f32)> = out
-        .chunks_mut(d)
-        .zip(mean.iter_mut())
-        .zip(invstd.iter_mut())
-        .collect();
-    per_row.par_iter_mut().enumerate().for_each(|(r, ((orow, m), inv))| {
+    let per_row = out.chunks_mut(d).zip(mean.iter_mut()).zip(invstd.iter_mut());
+    for (r, ((orow, m), inv)) in per_row.enumerate() {
         let row = &x[r * d..(r + 1) * d];
-        (**m, **inv) = row_moments(row, eps);
-        bk.ln_affine_row(row, **m, **inv, gamma, beta, orow);
-    });
+        (*m, *inv) = row_moments(row, eps);
+        bk.ln_affine_row(row, *m, *inv, gamma, beta, orow);
+    }
 }
 
 /// The sequential reference for [`layernorm_forward`] (same per-row math).

@@ -7,7 +7,7 @@
 //! in registers. The micro-kernel itself is supplied by the active
 //! [`MicroKernelBackend`] (explicit AVX2/SSE2/NEON intrinsics or the
 //! scalar reference — see [`super::backend`]), which also chooses `mr`
-//! (8 or 16). Parallelism is over `MC`-row macro-tiles, each writing a
+//! (8 or 16). C is walked in `MC`-row macro-tiles, each writing a
 //! disjoint slice of C; a packed B-panel is reused by every macro-tile,
 //! which is what the `apf_tensor_packed_panel_reuse_total` counter
 //! measures.
@@ -19,16 +19,12 @@
 //! `0.0 * NaN` and `0.0 * inf` into `0.0`, making the two kernels disagree
 //! exactly when the serve-side NaN guard needs them to agree.
 
-use rayon::prelude::*;
-
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 use super::backend::{self, MicroKernelBackend, MAX_MR};
 use super::stats;
 
-/// Minimum FLOP count before the naive kernel spawns rayon tasks.
-const PAR_FLOPS: usize = 1 << 16;
 /// Below this FLOP count packing costs more than it saves; dispatch to the
 /// naive kernel instead. Shared with the conv lowering, which uses it to
 /// decide when a transposed product is worth the extra transposes.
@@ -74,15 +70,8 @@ pub fn gemm_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
     if let Some(cs) = stats::counters() {
         cs.gemm_naive.inc();
     }
-    let work = m * n * k;
-    if work >= PAR_FLOPS && m > 1 {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| gemm_row(&a[i * k..(i + 1) * k], b, crow, k, n));
-    } else {
-        for i in 0..m {
-            gemm_row(&a[i * k..(i + 1) * k], b, &mut c[i * n..(i + 1) * n], k, n);
-        }
+    for i in 0..m {
+        gemm_row(&a[i * k..(i + 1) * k], b, &mut c[i * n..(i + 1) * n], k, n);
     }
 }
 
@@ -154,14 +143,13 @@ pub fn gemm_packed_with(
                 cs.packed_panels.inc();
                 cs.packed_panel_reuse.add(row_blocks as u64 - 1);
             }
-            let pb = &packed_b;
-            c.par_chunks_mut(MC * n).enumerate().for_each(|(bi, cb)| {
+            for (bi, cb) in c.chunks_mut(MC * n).enumerate() {
                 let ic = bi * MC;
                 let mcb = MC.min(m - ic);
                 let mut packed_a = vec![0.0f32; mcb.div_ceil(mr) * mr * kcb];
                 pack_a(a, k, ic, pc, mcb, kcb, mr, &mut packed_a);
-                macro_tile(bk, &packed_a, pb, cb, mcb, kcb, ncb, n, jc, mr);
-            });
+                macro_tile(bk, &packed_a, &packed_b, cb, mcb, kcb, ncb, n, jc, mr);
+            }
             pc += KC;
         }
         jc += NC;
@@ -295,51 +283,18 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let amat = m * k;
         let bmat = k * n;
         let cmat = m * n;
-        let work = m * n * k;
-        if !super::naive_kernels() && work >= PACK_FLOPS && m >= 4 {
-            // The blocked kernel parallelizes internally over macro-tiles.
-            for i in 0..batch_a {
-                gemm_packed(
-                    &a.data()[i * amat..(i + 1) * amat],
-                    &b.data()[i * bmat..(i + 1) * bmat],
-                    &mut out[i * cmat..(i + 1) * cmat],
-                    m,
-                    k,
-                    n,
-                );
-            }
-        } else if batch_a > 1 && work >= 1 << 12 {
-            out.par_chunks_mut(cmat).enumerate().for_each(|(i, cslab)| {
-                gemm_serial(
-                    &a.data()[i * amat..(i + 1) * amat],
-                    &b.data()[i * bmat..(i + 1) * bmat],
-                    cslab,
-                    m,
-                    k,
-                    n,
-                );
-            });
-        } else {
-            for i in 0..batch_a {
-                gemm_serial(
-                    &a.data()[i * amat..(i + 1) * amat],
-                    &b.data()[i * bmat..(i + 1) * bmat],
-                    &mut out[i * cmat..(i + 1) * cmat],
-                    m,
-                    k,
-                    n,
-                );
-            }
+        for i in 0..batch_a {
+            gemm(
+                &a.data()[i * amat..(i + 1) * amat],
+                &b.data()[i * bmat..(i + 1) * bmat],
+                &mut out[i * cmat..(i + 1) * cmat],
+                m,
+                k,
+                n,
+            );
         }
     }
     Tensor::new(out_shape, out)
-}
-
-/// Sequential row-streaming gemm used inside already-parallel batch loops.
-fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        gemm_row(&a[i * k..(i + 1) * k], b, &mut c[i * n..(i + 1) * n], k, n);
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Low-level compute kernels behind the tensor and autograd ops.
 //!
-//! Kernels are pure functions over buffers/tensors, rayon-parallel where the
-//! problem size warrants it, and individually unit-tested so autograd can be
-//! tested independently of the numerics.
+//! Kernels are pure functions over buffers/tensors that run sequentially on
+//! the calling thread (the inner loops vectorise through [`backend`]), and
+//! are individually unit-tested so autograd can be tested independently of
+//! the numerics.
 //!
 //! ## Fast vs naive kernels
 //!

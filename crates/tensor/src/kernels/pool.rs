@@ -1,7 +1,5 @@
 //! 2D pooling kernels (NCHW).
 
-use rayon::prelude::*;
-
 use crate::tensor::Tensor;
 
 /// Max-pool with square window `k`, stride `k` (non-overlapping).
@@ -20,29 +18,26 @@ pub fn maxpool2d(x: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
     let mut idx = vec![0u32; b * c * out_len];
     let src = x.data();
 
-    out.par_chunks_mut(out_len)
-        .zip(idx.par_chunks_mut(out_len))
-        .enumerate()
-        .for_each(|(map, (o, ix))| {
-            let base = map * h * w;
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_at = 0usize;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let off = base + (oy * k + ky) * w + ox * k + kx;
-                            if src[off] > best {
-                                best = src[off];
-                                best_at = off;
-                            }
+    for (map, (o, ix)) in out.chunks_mut(out_len).zip(idx.chunks_mut(out_len)).enumerate() {
+        let base = map * h * w;
+        for oy in 0..ho {
+            for ox in 0..wo {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_at = 0usize;
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let off = base + (oy * k + ky) * w + ox * k + kx;
+                        if src[off] > best {
+                            best = src[off];
+                            best_at = off;
                         }
                     }
-                    o[oy * wo + ox] = best;
-                    ix[oy * wo + ox] = best_at as u32;
                 }
+                o[oy * wo + ox] = best;
+                ix[oy * wo + ox] = best_at as u32;
             }
-        });
+        }
+    }
     (Tensor::new([b, c, ho, wo], out), idx)
 }
 

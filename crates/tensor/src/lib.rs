@@ -1,7 +1,8 @@
 //! # apf-tensor
 //!
 //! A compact, from-scratch deep-learning substrate: dense f32 tensors with
-//! rayon-parallel kernels and a tape-based reverse-mode autograd engine.
+//! sequential, SIMD-vectorised kernels and a tape-based reverse-mode
+//! autograd engine.
 //!
 //! Built because the Rust ML frameworks available at the time (candle, burn)
 //! were not mature enough for custom vision-transformer *training*; the APF

@@ -8,13 +8,8 @@ use std::sync::Arc;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::shape::Shape;
-
-/// Elementwise parallelism threshold: below this we stay sequential, since
-/// rayon's task overhead dominates for tiny tensors.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 14;
 
 /// A dense row-major f32 tensor.
 #[derive(Clone)]
@@ -164,12 +159,8 @@ impl Tensor {
     }
 
     /// Applies `f` to every element, producing a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync + Send) -> Tensor {
-        let data: Vec<f32> = if self.numel() >= PAR_THRESHOLD {
-            self.data.par_iter().map(|&x| f(x)).collect()
-        } else {
-            self.data.iter().map(|&x| f(x)).collect()
-        };
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let data: Vec<f32> = self.data.iter().map(|&x| f(x)).collect();
         Tensor::new(self.shape.clone(), data)
     }
 
@@ -177,25 +168,14 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync + Send) -> Tensor {
+    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(
             self.shape, other.shape,
             "zip_with shape mismatch: {} vs {}",
             self.shape, other.shape
         );
-        let data: Vec<f32> = if self.numel() >= PAR_THRESHOLD {
-            self.data
-                .par_iter()
-                .zip(other.data.par_iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect()
-        } else {
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect()
-        };
+        let data: Vec<f32> =
+            self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect();
         Tensor::new(self.shape.clone(), data)
     }
 
@@ -227,25 +207,14 @@ impl Tensor {
     /// In-place accumulate: `self += other` (same shape).
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        let dst = self.data_mut();
-        if dst.len() >= PAR_THRESHOLD {
-            dst.par_iter_mut()
-                .zip(other.data.par_iter())
-                .for_each(|(d, &s)| *d += s);
-        } else {
-            for (d, &s) in dst.iter_mut().zip(other.data.iter()) {
-                *d += s;
-            }
+        for (d, &s) in self.data_mut().iter_mut().zip(other.data.iter()) {
+            *d += s;
         }
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        if self.numel() >= PAR_THRESHOLD {
-            self.data.par_iter().sum()
-        } else {
-            self.data.iter().sum()
-        }
+        self.data.iter().sum()
     }
 
     /// Mean of all elements.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, test suite, and lint-clean clippy.
-# Run from anywhere; operates on the repository root.
+# Full pre-merge gate: release build, test suite, lint-clean clippy and rustdoc,
+# then the soak, kernel, gigapixel and resume gates. Run from anywhere;
+# operates on the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,9 @@ cargo test -q --workspace
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps --workspace (warnings are errors: catches stale intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> serve_soak resilience gate"
 # A failed soak must not leave yesterday's results lying around looking
