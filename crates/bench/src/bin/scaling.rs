@@ -8,12 +8,11 @@
 
 use apf_bench::{print_table, save_json, Args};
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
-use apf_distsim::allreduce::ring_allreduce_seconds;
+use apf_distsim::allreduce::{ring_allreduce_seconds, tree_allreduce_seconds};
 use apf_distsim::cluster::{calibrate, ClusterModel};
 use apf_distsim::cost::ModelDims;
 use apf_distsim::engine::DataParallelEngine;
 use apf_distsim::gpu::Fabric;
-use apf_distsim::tree_allreduce::tree_allreduce_seconds;
 use apf_imaging::paip::{PaipConfig, PaipGenerator};
 use apf_models::rearrange::GridOrder;
 use apf_models::unetr::{Unetr2d, UnetrConfig};

@@ -450,8 +450,9 @@ fn main() {
     let breaker_to_closed =
         counter(&snap, "apf_serve_breaker_transitions_total", &[("to", "closed")]);
 
-    // The registry and the engine's own counters are two independent paths;
-    // they must tell the same story.
+    // The registry snapshot must tell the same story as the report (read
+    // from the same counters), the soak's own submission count and the
+    // workers' breaker logs.
     let m: &ServeMetrics = &report.metrics;
     let engine_transitions: usize = report.workers.iter().map(|w| w.transitions.len()).sum();
     let registry_consistent_with_engine = counter(&snap, "apf_serve_requests_total", &[])

@@ -91,7 +91,8 @@ impl PatcherConfig {
 }
 
 /// Wall-clock breakdown of one pre-processing run (overhead experiment,
-/// §IV-G.3).
+/// §IV-G.3). The stages are the `core.*` spans and the
+/// `apf_core_patchify_stage_seconds` histograms of the same run.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct PreprocessTiming {
     /// Gaussian blur seconds.
@@ -100,7 +101,8 @@ pub struct PreprocessTiming {
     pub canny_s: f64,
     /// Quadtree build seconds.
     pub quadtree_s: f64,
-    /// Patch projection seconds.
+    /// Patch projection and Z-order sequencing seconds; the pad/drop to
+    /// `target_len` is not part of any stage.
     pub extract_s: f64,
 }
 
@@ -260,23 +262,33 @@ impl AdaptivePatcher {
     /// requests become a typed [`PatchError`] instead of a panic deep in
     /// the blur, Canny, or tree-build stages.
     pub fn try_tree(&self, img: &GrayImage) -> Result<QuadTree, PatchError> {
+        self.timed_tree(img, &mut PreprocessTiming::default())
+    }
+
+    /// Runs one stage under its `core.*` span and stores its wall time in
+    /// `secs` and the stage histogram.
+    fn stage<T>(&self, span: &'static str, hist: &Histogram, secs: &mut f64, run: impl FnOnce() -> T) -> T {
+        let _span = self.metrics.tel.span(span);
+        let t0 = Instant::now();
+        let out = run();
+        *secs = t0.elapsed().as_secs_f64();
+        hist.record(*secs);
+        out
+    }
+
+    /// [`AdaptivePatcher::try_tree`], filling the first three stages of `t`.
+    fn timed_tree(&self, img: &GrayImage, t: &mut PreprocessTiming) -> Result<QuadTree, PatchError> {
         Self::validate_input(img, &self.cfg.quadtree)?;
-        let blurred = {
-            let _span = self.metrics.tel.span("core.blur");
-            let _t = self.metrics.stage_blur_s.start_timer();
+        let m = &self.metrics;
+        let blurred = self.stage("core.blur", &m.stage_blur_s, &mut t.blur_s, || {
             gaussian_blur(img, self.cfg.kernel, self.cfg.sigma)
-        };
-        let edges = {
-            let _span = self.metrics.tel.span("core.canny");
-            let _t = self.metrics.stage_canny_s.start_timer();
-            canny(&blurred, self.cfg.canny)
-        };
-        let tree = {
-            let _span = self.metrics.tel.span("core.quadtree");
-            let _t = self.metrics.stage_quadtree_s.start_timer();
-            QuadTree::try_build(&edges, &self.cfg.quadtree)?
-        };
-        self.metrics.observe_tree(&tree);
+        });
+        let edges =
+            self.stage("core.canny", &m.stage_canny_s, &mut t.canny_s, || canny(&blurred, self.cfg.canny));
+        let tree = self.stage("core.quadtree", &m.stage_quadtree_s, &mut t.quadtree_s, || {
+            QuadTree::try_build(&edges, &self.cfg.quadtree)
+        })?;
+        m.observe_tree(&tree);
         Ok(tree)
     }
 
@@ -305,27 +317,36 @@ impl AdaptivePatcher {
     /// # Panics
     /// Panics on input [`AdaptivePatcher::try_patchify`] rejects.
     pub fn patchify(&self, img: &GrayImage) -> PatchSequence {
-        self.try_patchify(img)
-            .unwrap_or_else(|e| panic!("adaptive patching failed: {e}"))
+        self.timed_patchify(img).0
     }
 
     /// Fallible Algorithm-1 pre-processing: typed rejection instead of a
     /// panic on malformed images.
     pub fn try_patchify(&self, img: &GrayImage) -> Result<PatchSequence, PatchError> {
+        self.try_timed_patchify(img).map(|(seq, _)| seq)
+    }
+
+    /// The one Algorithm-1 pipeline behind every `*patchify` entry point
+    /// that returns a single sequence.
+    fn try_timed_patchify(&self, img: &GrayImage) -> Result<(PatchSequence, PreprocessTiming), PatchError> {
         let _span = self.metrics.tel.span("core.patchify");
-        let tree = self.try_tree(img)?;
-        let seq = {
-            let _span = self.metrics.tel.span("core.extract");
-            let _t = self.metrics.stage_extract_s.start_timer();
+        let mut t = PreprocessTiming::default();
+        let tree = self.timed_tree(img, &mut t)?;
+        let seq = self.stage("core.extract", &self.metrics.stage_extract_s, &mut t.extract_s, || {
             extract_patches(img, &tree.leaves, self.cfg.patch_size)
-        };
+        });
         self.metrics.seq_len_pre.record(seq.len() as f64);
-        let seq = match self.cfg.target_len {
+        let seq = self.to_target_len(seq);
+        self.metrics.seq_len_post.record(seq.len() as f64);
+        Ok((seq, t))
+    }
+
+    /// Pads or drops `seq` to the configured `target_len`, if any.
+    fn to_target_len(&self, seq: PatchSequence) -> PatchSequence {
+        match self.cfg.target_len {
             Some(len) => seq.fixed_length(len, self.cfg.drop_seed),
             None => seq,
-        };
-        self.metrics.seq_len_post.record(seq.len() as f64);
-        Ok(seq)
+        }
     }
 
     /// Pre-processes an image together with its ground-truth mask: both are
@@ -337,13 +358,7 @@ impl AdaptivePatcher {
         let tree = self.tree(img);
         let xs = extract_patches(img, &tree.leaves, self.cfg.patch_size);
         let ys = extract_patches(mask, &tree.leaves, self.cfg.patch_size);
-        match self.cfg.target_len {
-            Some(len) => (
-                xs.fixed_length(len, self.cfg.drop_seed),
-                ys.fixed_length(len, self.cfg.drop_seed),
-            ),
-            None => (xs, ys),
-        }
+        (self.to_target_len(xs), self.to_target_len(ys))
     }
 
     /// Like [`AdaptivePatcher::patchify_with_mask`] but samples the mask
@@ -355,50 +370,17 @@ impl AdaptivePatcher {
         let tree = self.tree(img);
         let xs = extract_patches(img, &tree.leaves, self.cfg.patch_size);
         let ys = crate::patchify::extract_patches_nearest(labels, &tree.leaves, self.cfg.patch_size);
-        match self.cfg.target_len {
-            Some(len) => (
-                xs.fixed_length(len, self.cfg.drop_seed),
-                ys.fixed_length(len, self.cfg.drop_seed),
-            ),
-            None => (xs, ys),
-        }
+        (self.to_target_len(xs), self.to_target_len(ys))
     }
 
     /// Like [`AdaptivePatcher::patchify`] but returns a stage-by-stage
     /// wall-clock breakdown (the paper's overhead experiment).
+    ///
+    /// # Panics
+    /// Panics on input [`AdaptivePatcher::try_patchify`] rejects.
     pub fn timed_patchify(&self, img: &GrayImage) -> (PatchSequence, PreprocessTiming) {
-        let _span = self.metrics.tel.span("core.patchify");
-        let mut t = PreprocessTiming::default();
-        let t0 = Instant::now();
-        let blurred = gaussian_blur(img, self.cfg.kernel, self.cfg.sigma);
-        t.blur_s = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let edges = canny(&blurred, self.cfg.canny);
-        t.canny_s = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let tree = QuadTree::build(&edges, &self.cfg.quadtree);
-        t.quadtree_s = t2.elapsed().as_secs_f64();
-        self.metrics.observe_tree(&tree);
-
-        let t3 = Instant::now();
-        let seq = extract_patches(img, &tree.leaves, self.cfg.patch_size);
-        self.metrics.seq_len_pre.record(seq.len() as f64);
-        let seq = match self.cfg.target_len {
-            Some(len) => seq.fixed_length(len, self.cfg.drop_seed),
-            None => seq,
-        };
-        t.extract_s = t3.elapsed().as_secs_f64();
-        self.metrics.seq_len_post.record(seq.len() as f64);
-
-        // The same wall-clock figures flow into the registry histograms, so
-        // timed and untimed paths report through one substrate.
-        self.metrics.stage_blur_s.record(t.blur_s);
-        self.metrics.stage_canny_s.record(t.canny_s);
-        self.metrics.stage_quadtree_s.record(t.quadtree_s);
-        self.metrics.stage_extract_s.record(t.extract_s);
-        (seq, t)
+        self.try_timed_patchify(img)
+            .unwrap_or_else(|e| panic!("adaptive patching failed: {e}"))
     }
 }
 
@@ -463,11 +445,33 @@ mod tests {
     fn timed_patchify_reports_positive_times() {
         let gen = PaipGenerator::new(PaipConfig::at_resolution(128));
         let s = gen.generate(2);
-        let patcher = AdaptivePatcher::new(PatcherConfig::for_resolution(128));
+        let tel = Telemetry::enabled();
+        let patcher = AdaptivePatcher::with_telemetry(
+            PatcherConfig::for_resolution(128).with_target_len(48),
+            tel.clone(),
+        );
         let (seq, timing) = patcher.timed_patchify(&s.image);
         assert!(!seq.is_empty());
         assert!(timing.total_s() > 0.0);
         assert!(timing.total_s() < 60.0);
+        // Same pipeline as try_patchify: same bits, and the stage times are
+        // the ones the stage histograms and the five core spans record.
+        let bits = |q: &PatchSequence| -> Vec<u32> {
+            q.patches.iter().flat_map(|p| p.pixels.iter().map(|v| v.to_bits())).collect()
+        };
+        assert_eq!(bits(&seq), bits(&patcher.try_patchify(&s.image).unwrap()));
+        let snap = tel.snapshot();
+        for (stage, secs) in [
+            ("blur", timing.blur_s),
+            ("canny", timing.canny_s),
+            ("quadtree", timing.quadtree_s),
+            ("extract", timing.extract_s),
+        ] {
+            let h = snap.get("apf_core_patchify_stage_seconds", &[("stage", stage)]).unwrap();
+            let h = h.histogram.as_ref().unwrap();
+            assert!(h.count == 2 && h.min <= secs && secs <= h.max, "{stage}");
+        }
+        assert_eq!(tel.trace_events().iter().filter(|e| e.name.starts_with("core.")).count(), 10);
     }
 
     #[test]

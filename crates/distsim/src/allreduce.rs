@@ -1,5 +1,6 @@
 //! Ring all-reduce: an analytic cost model and a real multi-threaded
-//! implementation over crossbeam channels.
+//! implementation over bounded `std::sync::mpsc` channels, plus the cost
+//! model of the binary-tree alternative it is compared against.
 //!
 //! The thread version implements the classic two-phase ring algorithm
 //! (reduce-scatter then all-gather, each `P - 1` steps over `1/P`-sized
@@ -13,9 +14,9 @@
 //! is detected instead of silently averaged into the gradients.
 
 use std::fmt;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use apf_core::crc32::crc32_f32;
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::gpu::Fabric;
 
@@ -50,12 +51,12 @@ impl fmt::Display for AllReduceError {
 impl std::error::Error for AllReduceError {}
 
 /// A payload plus the CRC-32 of its contents.
-pub(crate) type Message = (Vec<f32>, u32);
+type Message = (Vec<f32>, u32);
 
 /// Wraps a payload with its checksum, optionally flipping one bit AFTER
 /// the checksum is computed (the fault injector's model of transient link
 /// corruption). Returns whether corruption was actually applied.
-pub(crate) fn seal(payload: Vec<f32>, corrupt: bool) -> (Message, bool) {
+fn seal(payload: Vec<f32>, corrupt: bool) -> (Message, bool) {
     let crc = crc32_f32(&payload);
     let mut payload = payload;
     let mut applied = false;
@@ -68,7 +69,7 @@ pub(crate) fn seal(payload: Vec<f32>, corrupt: bool) -> (Message, bool) {
 }
 
 /// Verifies a received message's checksum.
-pub(crate) fn open(msg: Message, rank: usize) -> Result<Vec<f32>, AllReduceError> {
+fn open(msg: Message, rank: usize) -> Result<Vec<f32>, AllReduceError> {
     let (payload, crc) = msg;
     if crc32_f32(&payload) != crc {
         return Err(AllReduceError::Corrupted { detected_by: rank });
@@ -79,7 +80,7 @@ pub(crate) fn open(msg: Message, rank: usize) -> Result<Vec<f32>, AllReduceError
 /// Picks the most informative error out of a set of per-worker results:
 /// corruption beats disconnection (workers that abort on corruption tear
 /// down their channels, so peers see disconnects as a side effect).
-pub(crate) fn merge_errors(
+fn merge_errors(
     results: Vec<Result<Vec<f32>, AllReduceError>>,
 ) -> Result<Vec<Vec<f32>>, AllReduceError> {
     let mut disconnect = None;
@@ -109,6 +110,21 @@ pub fn ring_allreduce_seconds(bytes: f64, gpus: usize, fabric: &Fabric) -> f64 {
     let bw = fabric.ring_bandwidth(gpus);
     let lat = fabric.ring_latency(gpus);
     2.0 * (p - 1.0) / p * bytes / bw + 2.0 * (p - 1.0) * lat
+}
+
+/// Predicted seconds for a binary-tree all-reduce (reduce-to-root then
+/// broadcast) of `bytes` over `gpus` devices: `2 * log2(P)` hops each
+/// carrying the full buffer. Better than the ring for small messages
+/// (O(log P) latency), worse for large ones (the root link carries full
+/// buffers).
+pub fn tree_allreduce_seconds(bytes: f64, gpus: usize, fabric: &Fabric) -> f64 {
+    if gpus <= 1 {
+        return 0.0;
+    }
+    let hops = 2.0 * (gpus as f64).log2().ceil();
+    let bw = fabric.ring_bandwidth(gpus);
+    let lat = fabric.ring_latency(gpus);
+    hops * (bytes / bw + lat)
 }
 
 /// Real ring all-reduce across threads: every worker contributes one buffer
@@ -151,10 +167,10 @@ pub fn ring_allreduce_mean_checked(
         .collect();
 
     // Ring channels: worker i sends to (i + 1) % p.
-    let mut senders: Vec<Option<Sender<Message>>> = Vec::with_capacity(p);
+    let mut senders: Vec<Option<SyncSender<Message>>> = Vec::with_capacity(p);
     let mut receivers: Vec<Option<Receiver<Message>>> = (0..p).map(|_| None).collect();
     for i in 0..p {
-        let (tx, rx) = bounded::<Message>(2);
+        let (tx, rx) = sync_channel::<Message>(2);
         senders.push(Some(tx));
         receivers[(i + 1) % p] = Some(rx);
     }
@@ -332,5 +348,21 @@ mod tests {
         let t1024 = ring_allreduce_seconds(1e9, 1024, &f);
         assert!(t1024 < t8 * 2.0);
         assert_eq!(ring_allreduce_seconds(1e9, 1, &f), 0.0);
+    }
+
+    #[test]
+    fn cost_model_tradeoff_ring_vs_tree() {
+        let f = Fabric::frontier();
+        // Small message, many GPUs: tree's O(log P) latency wins.
+        let small = 1e3;
+        let t_tree = tree_allreduce_seconds(small, 1024, &f);
+        let t_ring = ring_allreduce_seconds(small, 1024, &f);
+        assert!(t_tree < t_ring, "tree {} vs ring {}", t_tree, t_ring);
+        // Large message: ring's (P-1)/P bandwidth term wins.
+        let large = 1e9;
+        let t_tree = tree_allreduce_seconds(large, 64, &f);
+        let t_ring = ring_allreduce_seconds(large, 64, &f);
+        assert!(t_ring < t_tree, "ring {} vs tree {}", t_ring, t_tree);
+        assert_eq!(tree_allreduce_seconds(large, 1, &f), 0.0);
     }
 }

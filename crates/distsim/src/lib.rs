@@ -6,7 +6,8 @@
 //! - [`gpu`] — MI250X-like device model and the two-level Frontier fabric
 //!   (Infinity Fabric intra-node, Slingshot-11 inter-node).
 //! - [`allreduce`] — ring all-reduce: analytic cost model **and** a real
-//!   multi-threaded implementation used for gradient averaging.
+//!   multi-threaded implementation used for gradient averaging, plus the
+//!   tree all-reduce cost model it is compared against.
 //! - [`cost`] — FLOP/memory accounting of transformer training as a
 //!   function of sequence length (the quantity APF reduces).
 //! - [`cluster`] — sec/image predictions for N-GPU data-parallel training,
@@ -28,10 +29,10 @@ pub mod engine;
 pub mod fabric;
 pub mod fault;
 pub mod gpu;
-pub mod tree_allreduce;
 
 pub use allreduce::{
-    ring_allreduce_mean, ring_allreduce_mean_checked, ring_allreduce_seconds, AllReduceError,
+    ring_allreduce_mean, ring_allreduce_mean_checked, ring_allreduce_seconds,
+    tree_allreduce_seconds, AllReduceError,
 };
 pub use cluster::{calibrate, ClusterModel, Prediction};
 pub use cost::{step_cost, ModelDims, StepCost};
@@ -43,4 +44,3 @@ pub use fabric::{
 };
 pub use fault::{Fault, FaultEvent, FaultKey, FaultKind, FaultPlan, FaultRates, RecoveryEvent};
 pub use gpu::{Fabric, GpuSpec};
-pub use tree_allreduce::{tree_allreduce_mean, tree_allreduce_mean_checked, tree_allreduce_seconds};

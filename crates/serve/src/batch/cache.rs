@@ -137,8 +137,8 @@ pub enum CacheOutcome {
     Coalesced,
 }
 
-/// Counters mirrored outside the telemetry registry so reports stay exact
-/// when telemetry is disabled.
+/// Cache counters for reports; hits, misses, coalesced waits and evictions
+/// are the cache's `apf_serve_batch_cache_*_total` registry counters.
 #[derive(Debug, Default, Clone, Serialize)]
 pub struct CacheStats {
     /// Lookups satisfied from a resident entry.
@@ -188,11 +188,12 @@ struct Inner {
     slots: HashMap<CacheKey, Slot>,
     resident_bytes: usize,
     tick: u64,
-    stats: CacheStats,
+    build_failures: u64,
+    oversize_rejections: u64,
 }
 
-/// Telemetry handles; all inert when the engine telemetry is disabled.
-#[derive(Clone)]
+/// Telemetry handles. The counters always count, bumped only under the
+/// cache lock; the gauges are inert when the engine telemetry is disabled.
 struct CacheTel {
     hits: Counter,
     misses: Counter,
@@ -254,7 +255,8 @@ impl PatchCache {
                 slots: HashMap::new(),
                 resident_bytes: 0,
                 tick: 0,
-                stats: CacheStats::default(),
+                build_failures: 0,
+                oversize_rejections: 0,
             }),
             ready: Condvar::new(),
             budget_bytes,
@@ -272,14 +274,21 @@ impl PatchCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).resident_bytes
     }
 
-    /// Snapshot of the exact counters.
+    /// Snapshot of the counters, taken under the cache lock (every count
+    /// is bumped under it, so the snapshot is consistent).
     pub fn stats(&self) -> CacheStats {
         let st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut s = st.stats.clone();
-        s.resident_bytes = st.resident_bytes as u64;
-        s.resident_entries =
-            st.slots.values().filter(|s| matches!(s, Slot::Ready(_))).count() as u64;
-        s
+        CacheStats {
+            hits: self.tm.hits.get(),
+            misses: self.tm.misses.get(),
+            coalesced: self.tm.coalesced.get(),
+            evictions: self.tm.evictions.get(),
+            build_failures: st.build_failures,
+            oversize_rejections: st.oversize_rejections,
+            resident_bytes: st.resident_bytes as u64,
+            resident_entries: st.slots.values().filter(|s| matches!(s, Slot::Ready(_))).count()
+                as u64,
+        }
     }
 
     /// Looks up `key`, building it with `build` on a miss. Exactly one
@@ -298,10 +307,9 @@ impl PatchCache {
             let built = build();
             let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             if built.is_ok() {
-                st.stats.misses += 1;
                 self.tm.misses.inc();
             } else {
-                st.stats.build_failures += 1;
+                st.build_failures += 1;
             }
             return built.map(|seq| (Arc::new(seq), CacheOutcome::Miss));
         }
@@ -318,10 +326,8 @@ impl PatchCache {
                     entry.last_used = tick;
                     let seq = Arc::clone(&entry.seq);
                     if waited {
-                        st.stats.coalesced += 1;
                         self.tm.coalesced.inc();
                     } else {
-                        st.stats.hits += 1;
                         self.tm.hits.inc();
                     }
                     return Ok((seq, if waited { CacheOutcome::Coalesced } else { CacheOutcome::Hit }));
@@ -343,7 +349,7 @@ impl PatchCache {
         match built {
             Err(e) => {
                 st.slots.remove(&key);
-                st.stats.build_failures += 1;
+                st.build_failures += 1;
                 drop(st);
                 self.ready.notify_all();
                 Err(e)
@@ -355,8 +361,7 @@ impl PatchCache {
                     // Never violates the budget: hand the sequence back
                     // uncached and release the waiters to build their own.
                     st.slots.remove(&key);
-                    st.stats.oversize_rejections += 1;
-                    st.stats.misses += 1;
+                    st.oversize_rejections += 1;
                     self.tm.misses.inc();
                     drop(st);
                     self.ready.notify_all();
@@ -376,7 +381,6 @@ impl PatchCache {
                     let Some(victim) = victim else { break };
                     if let Some(Slot::Ready(e)) = st.slots.remove(&victim) {
                         st.resident_bytes -= e.bytes;
-                        st.stats.evictions += 1;
                         self.tm.evictions.inc();
                     }
                 }
@@ -387,7 +391,6 @@ impl PatchCache {
                     Slot::Ready(Entry { seq: Arc::clone(&seq), bytes, last_used: tick }),
                 );
                 st.resident_bytes += bytes;
-                st.stats.misses += 1;
                 self.tm.misses.inc();
                 self.tm.bytes.set(st.resident_bytes as f64);
                 self.tm.entries.set(

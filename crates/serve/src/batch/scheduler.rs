@@ -56,18 +56,20 @@ use crate::request::{DeadlineStage, FailureReason, Outcome};
 
 use super::cache::{CacheKey, ContentKey, PatchCache, VariantKey};
 
-/// Exact batch counters shared by all batch workers, mirrored outside the
-/// telemetry registry so reports stay available with telemetry disabled.
-#[derive(Debug, Default)]
-pub struct BatchStats {
-    batches: AtomicU64,
+/// Batch counters and histograms shared by all of an engine's workers.
+/// `batches` and `deadline_evictions` are registry counters; the other
+/// counts have no registry series and live in plain atomics.
+pub(crate) struct BatchStats {
+    occupancy: Histogram,
+    linger_s: Histogram,
+    batches: Counter,
+    deadline_evictions: Counter,
     batched_requests: AtomicU64,
     max_occupancy: AtomicU64,
-    deadline_evictions: AtomicU64,
     solo_slides: AtomicU64,
 }
 
-/// Snapshot of [`BatchStats`] for reports.
+/// Snapshot of an engine's batch counters for reports.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchStatsSnapshot {
     /// Padded multi-request forwards executed.
@@ -85,38 +87,8 @@ pub struct BatchStatsSnapshot {
 }
 
 impl BatchStats {
-    /// Clones the counters into a serializable snapshot.
-    pub fn snapshot(&self) -> BatchStatsSnapshot {
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched_requests = self.batched_requests.load(Ordering::Relaxed);
-        BatchStatsSnapshot {
-            batches,
-            batched_requests,
-            max_occupancy: self.max_occupancy.load(Ordering::Relaxed),
-            deadline_evictions: self.deadline_evictions.load(Ordering::Relaxed),
-            solo_slides: self.solo_slides.load(Ordering::Relaxed),
-            mean_occupancy: if batches == 0 {
-                0.0
-            } else {
-                batched_requests as f64 / batches as f64
-            },
-        }
-    }
-}
-
-/// Registry handles for the batching hot path; inert when telemetry is
-/// disabled. Created once per engine and shared by the batch workers.
-#[derive(Clone)]
-pub(crate) struct BatchTel {
-    pub(crate) occupancy: Histogram,
-    pub(crate) linger_s: Histogram,
-    pub(crate) batches: Counter,
-    pub(crate) deadline_evictions: Counter,
-}
-
-impl BatchTel {
     pub(crate) fn new(tel: &Telemetry) -> Self {
-        BatchTel {
+        BatchStats {
             occupancy: tel.histogram(
                 "apf_serve_batch_occupancy_count",
                 "Requests per executed batch forward",
@@ -133,6 +105,27 @@ impl BatchTel {
                 "apf_serve_batch_deadline_evictions_total",
                 "Requests evicted from a forming batch by their deadline",
             ),
+            batched_requests: AtomicU64::new(0),
+            max_occupancy: AtomicU64::new(0),
+            solo_slides: AtomicU64::new(0),
+        }
+    }
+
+    /// Reads the counters into a serializable snapshot.
+    pub(crate) fn snapshot(&self) -> BatchStatsSnapshot {
+        let batches = self.batches.get();
+        let batched_requests = self.batched_requests.load(Ordering::Relaxed);
+        BatchStatsSnapshot {
+            batches,
+            batched_requests,
+            max_occupancy: self.max_occupancy.load(Ordering::Relaxed),
+            deadline_evictions: self.deadline_evictions.get(),
+            solo_slides: self.solo_slides.load(Ordering::Relaxed),
+            mean_occupancy: if batches == 0 {
+                0.0
+            } else {
+                batched_requests as f64 / batches as f64
+            },
         }
     }
 }
@@ -156,12 +149,19 @@ pub fn batch_aware_retry_after(
     base_ms.saturating_add(batch_linger_ms.saturating_mul(windows))
 }
 
+/// Records the breaker transitions made since the last call.
+fn record_new_transitions(breaker: &CircuitBreaker, seen: &mut usize, tm: &ServeTel) {
+    for t in &breaker.transitions()[*seen..] {
+        tm.record_breaker_transition(t.to);
+    }
+    *seen = breaker.transitions().len();
+}
+
 pub(crate) fn batch_worker_loop(
     idx: usize,
     shared: &Shared,
     cfg: &ServeConfig,
     cache: &PatchCache,
-    btel: &BatchTel,
     stats: &BatchStats,
 ) -> WorkerReport {
     let model = ViTSegmenter::new(cfg.model, cfg.model_seed);
@@ -176,10 +176,7 @@ pub(crate) fn batch_worker_loop(
     let poll = Duration::from_millis(cfg.poll_ms.max(1));
     loop {
         let allowed = breaker.allow();
-        for t in &breaker.transitions()[transitions_seen..] {
-            shared.tm.record_breaker_transition(t.to);
-        }
-        transitions_seen = breaker.transitions().len();
+        record_new_transitions(&breaker, &mut transitions_seen, &shared.tm);
         if !allowed {
             thread::sleep(poll);
             continue;
@@ -226,10 +223,7 @@ pub(crate) fn batch_worker_loop(
                 Outcome::WorkerFailure { .. } => breaker.record_failure(),
                 _ => {}
             }
-            for t in &breaker.transitions()[transitions_seen..] {
-                shared.tm.record_breaker_transition(t.to);
-            }
-            transitions_seen = breaker.transitions().len();
+            record_new_transitions(&breaker, &mut transitions_seen, &shared.tm);
             shared.respond(seed, outcome, Some(idx));
             continue;
         }
@@ -270,15 +264,14 @@ pub(crate) fn batch_worker_loop(
             }
         }
         shared.tm.queue_depth.set(shared.queue.len() as f64);
-        btel.linger_s.record(formed_at.elapsed().as_secs_f64());
+        stats.linger_s.record(formed_at.elapsed().as_secs_f64());
         // Deadline eviction at close: a member that expired while the batch
         // formed is answered typed and dropped, never forwarded.
         let now = Instant::now();
         let mut ready = Vec::with_capacity(batch.len());
         for q in batch {
             if q.deadline.is_some_and(|d| now >= d) {
-                stats.deadline_evictions.fetch_add(1, Ordering::Relaxed);
-                btel.deadline_evictions.inc();
+                stats.deadline_evictions.inc();
                 shared.tm.tel.flight("batch_deadline_eviction", || {
                     format!("worker={idx} id={}", q.payload.id())
                 });
@@ -300,9 +293,8 @@ pub(crate) fn batch_worker_loop(
         }
         dispatches += 1;
         processed += ready.len() as u64;
-        btel.batches.inc();
-        btel.occupancy.record(ready.len() as f64);
-        stats.batches.fetch_add(1, Ordering::Relaxed);
+        stats.batches.inc();
+        stats.occupancy.record(ready.len() as f64);
         stats.batched_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
         stats.max_occupancy.fetch_max(ready.len() as u64, Ordering::Relaxed);
         let outcomes = {
@@ -326,17 +318,12 @@ pub(crate) fn batch_worker_loop(
         } else if any_success {
             breaker.record_success();
         }
-        for t in &breaker.transitions()[transitions_seen..] {
-            shared.tm.record_breaker_transition(t.to);
-        }
-        transitions_seen = breaker.transitions().len();
+        record_new_transitions(&breaker, &mut transitions_seen, &shared.tm);
         for (q, outcome) in ready.into_iter().zip(outcomes) {
             shared.respond(q, outcome, Some(idx));
         }
     }
-    for t in &breaker.transitions()[transitions_seen..] {
-        shared.tm.record_breaker_transition(t.to);
-    }
+    record_new_transitions(&breaker, &mut transitions_seen, &shared.tm);
     WorkerReport {
         worker: idx,
         processed,
@@ -554,9 +541,9 @@ mod tests {
 
     #[test]
     fn batch_stats_snapshot_computes_mean_occupancy() {
-        let stats = BatchStats::default();
+        let stats = BatchStats::new(&Telemetry::disabled());
         assert_eq!(stats.snapshot().mean_occupancy, 0.0);
-        stats.batches.store(4, Ordering::Relaxed);
+        stats.batches.add(4);
         stats.batched_requests.store(14, Ordering::Relaxed);
         stats.max_occupancy.store(6, Ordering::Relaxed);
         let snap = stats.snapshot();

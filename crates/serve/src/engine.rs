@@ -22,9 +22,9 @@
 //! silently, and every response carries the tier it was admitted at.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -38,7 +38,7 @@ use apf_models::vit::{ViTConfig, ViTSegmenter};
 use apf_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 use serde::Serialize;
 
-use crate::batch::scheduler::{batch_worker_loop, BatchStats, BatchTel};
+use crate::batch::scheduler::{batch_worker_loop, BatchStats};
 use crate::batch::{batch_aware_retry_after, BatchConfig, BatchStatsSnapshot, CacheStats, PatchCache};
 use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition};
 use crate::degrade::{DegradationPolicy, Tier};
@@ -78,7 +78,9 @@ pub struct ServeConfig {
     pub batch: BatchConfig,
     /// Telemetry sink for the engine's gauges, histograms, counters, and
     /// spans. [`Telemetry::disabled`] keeps the hot path at one branch per
-    /// instrumentation point.
+    /// instrumentation point (counters still count, unregistered). The
+    /// engine's reports read the same counters, so engines that share one
+    /// enabled registry share their counts.
     pub telemetry: Telemetry,
     /// Where the flight recorder dumps its window when a worker panic is
     /// contained; `None` disables file dumps (events still accumulate in
@@ -115,9 +117,9 @@ impl ServeConfig {
     }
 }
 
-/// Registry handles for the serving hot path; all inert when the engine was
-/// configured with a disabled [`Telemetry`].
-#[derive(Clone)]
+/// Registry handles for the serving hot path. The counters are also the
+/// engine's [`ServeMetrics`]; the other handles are inert when the engine
+/// was configured with a disabled [`Telemetry`].
 pub(crate) struct ServeTel {
     pub(crate) tel: Telemetry,
     pub(crate) queue_depth: Gauge,
@@ -247,6 +249,28 @@ impl ServeTel {
         }
     }
 
+    /// Reads the outcome and tier counters one at a time, then
+    /// `requests_total` last: every response was submitted before it was
+    /// counted, so `submitted >= responses()` in every snapshot.
+    fn metrics(&self) -> ServeMetrics {
+        ServeMetrics {
+            completed: self.outcome_completed.get(),
+            slides_completed: self.outcome_slide_completed.get(),
+            rejected: self.outcome_rejected.get(),
+            invalid_input: self.outcome_invalid.get(),
+            deadline_queued: self.outcome_deadline_queued.get(),
+            deadline_batching: self.outcome_deadline_batching.get(),
+            deadline_inference: self.outcome_deadline_inference.get(),
+            deadline_stitching: self.outcome_deadline_stitching.get(),
+            worker_panics: self.outcome_worker_panic.get(),
+            non_finite_outputs: self.outcome_non_finite.get(),
+            tier_full: self.tier_full.get(),
+            tier_reduced: self.tier_reduced.get(),
+            tier_coarse: self.tier_coarse.get(),
+            submitted: self.requests_total.get(),
+        }
+    }
+
     pub(crate) fn record_breaker_transition(&self, to: BreakerState) {
         match to {
             BreakerState::Open => self.breaker_to_open.inc(),
@@ -257,7 +281,9 @@ impl ServeTel {
     }
 }
 
-/// Aggregate outcome counters, filled as responses are issued.
+/// Aggregate outcome counters, read from the engine's registry counters
+/// (`apf_serve_requests_total`, `apf_serve_outcomes_total`,
+/// `apf_serve_responses_total`).
 #[derive(Debug, Default, Clone, Serialize)]
 pub struct ServeMetrics {
     /// Requests submitted (every one gets exactly one response).
@@ -291,36 +317,6 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn record(&mut self, resp: &SegResponse) {
-        match &resp.outcome {
-            Outcome::Completed { .. } => self.completed += 1,
-            Outcome::SlideCompleted { .. } => self.slides_completed += 1,
-            Outcome::Rejected { .. } => self.rejected += 1,
-            Outcome::InvalidInput { .. } => self.invalid_input += 1,
-            Outcome::DeadlineExceeded { stage: DeadlineStage::Queued } => {
-                self.deadline_queued += 1
-            }
-            Outcome::DeadlineExceeded { stage: DeadlineStage::Batching } => {
-                self.deadline_batching += 1
-            }
-            Outcome::DeadlineExceeded { stage: DeadlineStage::Inference { .. } } => {
-                self.deadline_inference += 1
-            }
-            Outcome::DeadlineExceeded { stage: DeadlineStage::Stitching { .. } } => {
-                self.deadline_stitching += 1
-            }
-            Outcome::WorkerFailure { reason: FailureReason::Panicked } => self.worker_panics += 1,
-            Outcome::WorkerFailure { reason: FailureReason::NonFiniteOutput } => {
-                self.non_finite_outputs += 1
-            }
-        }
-        match resp.tier {
-            Tier::Full => self.tier_full += 1,
-            Tier::Reduced => self.tier_reduced += 1,
-            Tier::Coarse => self.tier_coarse += 1,
-        }
-    }
-
     /// Responses issued so far (should equal `submitted` after shutdown).
     pub fn responses(&self) -> u64 {
         self.completed
@@ -402,8 +398,6 @@ pub(crate) struct QueuedRequest {
 
 pub(crate) struct Shared {
     pub(crate) queue: BoundedQueue<QueuedRequest>,
-    metrics: Mutex<ServeMetrics>,
-    submitted: AtomicU64,
     // Tier handed to the most recent admission (rank), for tier-change
     // flight events. usize::MAX = nothing admitted yet.
     last_tier_rank: AtomicUsize,
@@ -411,22 +405,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Locks the aggregate counters, recovering from poison: a worker that
-    /// panicked while holding this lock (fault injection can arrange it)
-    /// must degrade to possibly-stale counters, not turn every later
-    /// request into a `PoisonError` panic cascade.
-    fn lock_metrics(&self) -> std::sync::MutexGuard<'_, ServeMetrics> {
-        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Clones the counters and stamps in the submission count (which lives
-    /// in an atomic, not under the metrics lock).
-    fn snapshot_metrics(&self) -> ServeMetrics {
-        let mut m = self.lock_metrics().clone();
-        m.submitted = self.submitted.load(Ordering::Relaxed);
-        m
-    }
-
     pub(crate) fn respond(&self, q: QueuedRequest, outcome: Outcome, worker: Option<usize>) {
         let resp = SegResponse {
             id: q.payload.id(),
@@ -436,7 +414,6 @@ impl Shared {
             worker,
             latency_ms: q.submitted.elapsed().as_secs_f64() * 1e3,
         };
-        self.lock_metrics().record(&resp);
         self.tm.record_response(&resp);
         // A dropped ticket is the caller's prerogative; ignore send errors.
         let _ = q.tx.send(resp);
@@ -467,7 +444,7 @@ pub struct ServeEngine {
     shared: Arc<Shared>,
     cfg: ServeConfig,
     handles: Vec<thread::JoinHandle<WorkerReport>>,
-    // The shared preprocessing cache and the exact batch counters, surfaced
+    // The shared preprocessing cache and the batch counters, surfaced
     // through the report.
     cache: Arc<PatchCache>,
     batch_stats: Arc<BatchStats>,
@@ -489,24 +466,20 @@ impl ServeEngine {
         install_quiet_worker_panics();
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_capacity),
-            metrics: Mutex::new(ServeMetrics::default()),
-            submitted: AtomicU64::new(0),
             last_tier_rank: AtomicUsize::new(usize::MAX),
             tm: ServeTel::new(cfg.telemetry.clone()),
         });
         let cache = Arc::new(PatchCache::new(cfg.batch.cache_budget_bytes, &cfg.telemetry));
-        let batch_stats = Arc::new(BatchStats::default());
-        let batch_tel = BatchTel::new(&cfg.telemetry);
+        let batch_stats = Arc::new(BatchStats::new(&cfg.telemetry));
         let handles = (0..cfg.workers)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
                 let cfg = cfg.clone();
                 let cache = Arc::clone(&cache);
                 let stats = Arc::clone(&batch_stats);
-                let btel = batch_tel.clone();
                 thread::Builder::new()
                     .name(format!("apf-serve-worker-{idx}"))
-                    .spawn(move || batch_worker_loop(idx, &shared, &cfg, &cache, &btel, &stats))
+                    .spawn(move || batch_worker_loop(idx, &shared, &cfg, &cache, &stats))
                     .expect("spawn worker")
             })
             .collect();
@@ -564,7 +537,6 @@ impl ServeEngine {
         let _admit_span = tm.tel.span_id("serve.submit", payload.id());
         let _admit_timer = tm.admission_s.start_timer();
         tm.requests_total.inc();
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         let depth = self.shared.queue.len();
         let tier = self.cfg.policy.tier_for_depth(depth, self.cfg.queue_capacity);
@@ -638,9 +610,11 @@ impl ServeEngine {
         Some(self.batch_stats.snapshot())
     }
 
-    /// Snapshot of the aggregate counters.
+    /// Snapshot of the aggregate counters. Fields are read one at a time
+    /// from live counters, `submitted` last, so while requests are in flight
+    /// the fields need not add up; after [`ServeEngine::shutdown`] they do.
     pub fn metrics(&self) -> ServeMetrics {
-        self.shared.snapshot_metrics()
+        self.shared.tm.metrics()
     }
 
     /// Drain hook for front doors: closes the admission queue without
@@ -661,7 +635,7 @@ impl ServeEngine {
             .map(|h| h.join().expect("worker thread must not die: panics are contained inside it"))
             .collect();
         ServeReport {
-            metrics: self.shared.snapshot_metrics(),
+            metrics: self.shared.tm.metrics(),
             workers,
             max_queue_depth: self.shared.queue.max_depth(),
             queue_capacity: self.shared.queue.capacity(),
@@ -982,6 +956,7 @@ mod tests {
         let tel = Telemetry::enabled();
         let mut cfg = ServeConfig::small();
         cfg.telemetry = tel.clone();
+        cfg.batch.cache_budget_bytes = 1 << 20;
         let engine = ServeEngine::start(cfg);
         let tickets: Vec<Ticket> = (0..6)
             .map(|id| {
@@ -992,29 +967,57 @@ mod tests {
         for t in tickets {
             t.wait().unwrap();
         }
+        // Request 0's pixels again (a cache hit), then an expired deadline.
+        engine.submit(SegRequest { id: 6, image: test_image(0), deadline_ms: None }).wait().unwrap();
+        engine.submit(SegRequest { id: 7, image: test_image(7), deadline_ms: Some(0) }).wait().unwrap();
         let report = engine.shutdown();
         let snap = tel.snapshot();
 
-        // Counters agree with the mutex-guarded ServeMetrics.
+        // Every report field is the registry series of the same name.
         let get = |name: &str, labels: &[(&str, &str)]| {
-            snap.get(name, labels).map_or(0.0, |m| m.value) as u64
+            snap.get(name, labels).unwrap_or_else(|| panic!("{name}{labels:?} not registered")).value
+                as u64
         };
-        assert_eq!(get("apf_serve_requests_total", &[]), 6);
-        assert_eq!(
-            get("apf_serve_outcomes_total", &[("outcome", "completed")]),
-            report.metrics.completed
-        );
-        assert_eq!(
-            get("apf_serve_outcomes_total", &[("outcome", "invalid_input")]),
-            report.metrics.invalid_input
-        );
-        assert_eq!(
-            get("apf_serve_responses_total", &[("tier", "full")]),
-            report.metrics.tier_full
-        );
+        let m = &report.metrics;
+        let outcome = |o: &str| get("apf_serve_outcomes_total", &[("outcome", o)]);
+        let tier = |t: &str| get("apf_serve_responses_total", &[("tier", t)]);
+        assert_eq!(get("apf_serve_requests_total", &[]), m.submitted);
+        assert_eq!(m.submitted, 8);
+        assert_eq!(m.responses(), 8);
+        assert_eq!((m.completed, m.invalid_input, m.deadline_queued), (6, 1, 1));
+        for (name, field) in [
+            ("completed", m.completed),
+            ("slide_completed", m.slides_completed),
+            ("rejected", m.rejected),
+            ("invalid_input", m.invalid_input),
+            ("deadline_queued", m.deadline_queued),
+            ("deadline_batching", m.deadline_batching),
+            ("deadline_inference", m.deadline_inference),
+            ("deadline_stitching", m.deadline_stitching),
+            ("worker_panic", m.worker_panics),
+            ("non_finite_output", m.non_finite_outputs),
+        ] {
+            assert_eq!(outcome(name), field, "outcome {name}");
+        }
+        for (name, field) in
+            [("full", m.tier_full), ("reduced", m.tier_reduced), ("coarse", m.tier_coarse)]
+        {
+            assert_eq!(tier(name), field, "tier {name}");
+        }
+        let cache = report.cache.as_ref().unwrap();
+        assert_eq!((cache.hits, cache.misses), (1, 5));
+        let lookups = |o: &str| get("apf_serve_batch_cache_lookups_total", &[("outcome", o)]);
+        assert_eq!(lookups("hit"), cache.hits);
+        assert_eq!(lookups("miss"), cache.misses);
+        assert_eq!(lookups("coalesced"), cache.coalesced);
+        assert_eq!(get("apf_serve_batch_cache_evictions_total", &[]), cache.evictions);
+        let batch = report.batch.as_ref().unwrap();
+        assert_eq!(batch.batches, 6);
+        assert_eq!(get("apf_serve_batches_total", &[]), batch.batches);
+        assert_eq!(get("apf_serve_batch_deadline_evictions_total", &[]), batch.deadline_evictions);
         // Latency histograms saw every response; queue-wait only the popped.
         let req_lat = snap.get("apf_serve_request_latency_seconds", &[]).unwrap();
-        assert_eq!(req_lat.histogram.as_ref().unwrap().count, 6);
+        assert_eq!(req_lat.histogram.as_ref().unwrap().count, 8);
         assert_eq!(
             snap.get("apf_serve_admission_latency_seconds", &[])
                 .unwrap()
@@ -1022,7 +1025,7 @@ mod tests {
                 .as_ref()
                 .unwrap()
                 .count,
-            6
+            8
         );
 
         // At least one completed request produced a span tree:
@@ -1045,7 +1048,7 @@ mod tests {
 
         // Exposition is prefixed and parseable quantities.
         let text = tel.render_prometheus();
-        assert!(text.contains("apf_serve_requests_total 6"));
+        assert!(text.contains("apf_serve_requests_total 8"));
         apf_telemetry::validate_jsonl(&tel.trace_jsonl()).unwrap();
     }
 
@@ -1366,36 +1369,6 @@ mod tests {
         assert_eq!(load_aware_retry_after(25, 16, 16), 100);
         // Saturates instead of overflowing.
         assert_eq!(load_aware_retry_after(u64::MAX, 16, 16), u64::MAX);
-    }
-
-    #[test]
-    fn poisoned_metrics_mutex_does_not_cascade() {
-        let engine = ServeEngine::start(ServeConfig::small());
-        // Poison the metrics mutex the way a panicking fault would: panic
-        // while holding the guard (on a scratch thread, so the test itself
-        // survives).
-        let shared = Arc::clone(&engine.shared);
-        let _ = std::thread::Builder::new()
-            .name("apf-serve-worker-poison".into()) // quiet hook eats the backtrace
-            .spawn(move || {
-                let _guard = shared.metrics.lock().unwrap();
-                panic!("injected panic while holding the metrics lock");
-            })
-            .unwrap()
-            .join();
-        assert!(engine.shared.metrics.lock().is_err(), "mutex must actually be poisoned");
-        // Every later request must still serve, and metrics stay readable.
-        for id in 0..4 {
-            let r = engine
-                .submit(SegRequest { id, image: test_image(id), deadline_ms: None })
-                .wait()
-                .expect("engine must answer after poisoning");
-            assert!(matches!(r.outcome, Outcome::Completed { .. }), "{:?}", r.outcome);
-        }
-        assert_eq!(engine.metrics().completed, 4);
-        let report = engine.shutdown();
-        assert_eq!(report.metrics.completed, 4);
-        assert_eq!(report.metrics.responses(), 4);
     }
 
     #[test]

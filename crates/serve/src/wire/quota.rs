@@ -15,7 +15,6 @@
 //! so unit tests replay deterministically.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -88,19 +87,16 @@ pub struct TenantQuotas {
     cfg: QuotaConfig,
     buckets: Mutex<HashMap<u64, Bucket>>,
     epoch: Instant,
-    // The metric handles are inert when telemetry is disabled, so the
-    // authoritative totals live in atomics the exactness gate can trust.
     rejections_total: Counter,
     granted_total: Counter,
     checked_total: Counter,
-    rejected_n: AtomicU64,
-    granted_n: AtomicU64,
     tel: Telemetry,
 }
 
 impl TenantQuotas {
     /// Builds the gate. Metrics land in `tel` (pass the engine's registry
-    /// so quota counters join the serve exposition).
+    /// so quota counters join the serve exposition); gates that share one
+    /// enabled registry share their totals.
     pub fn new(cfg: QuotaConfig, tel: &Telemetry) -> Self {
         TenantQuotas {
             cfg,
@@ -118,8 +114,6 @@ impl TenantQuotas {
                 "apf_serve_wire_quota_checked_total",
                 "Quota decisions made at the wire door (granted + rejected)",
             ),
-            rejected_n: AtomicU64::new(0),
-            granted_n: AtomicU64::new(0),
             tel: tel.clone(),
         }
     }
@@ -165,12 +159,10 @@ impl TenantQuotas {
         if bucket.tokens >= 1.0 - 1e-9 {
             bucket.tokens = (bucket.tokens - 1.0).max(0.0);
             bucket.granted += 1;
-            self.granted_n.fetch_add(1, Ordering::Relaxed);
             self.granted_total.inc();
             Ok(())
         } else {
             bucket.rejected += 1;
-            self.rejected_n.fetch_add(1, Ordering::Relaxed);
             self.rejections_total.inc();
             let deficit = 1.0 - bucket.tokens;
             let retry_ms = (deficit / bucket.limit.per_sec.max(1e-9) * 1e3).ceil() as u64;
@@ -197,15 +189,14 @@ impl TenantQuotas {
         out
     }
 
-    /// Total rejections (mirrored by `apf_serve_quota_rejections_total`
-    /// when telemetry is enabled).
+    /// Total rejections (`apf_serve_quota_rejections_total`).
     pub fn rejections(&self) -> u64 {
-        self.rejected_n.load(Ordering::Relaxed)
+        self.rejections_total.get()
     }
 
-    /// Total grants (mirrored by `apf_serve_quota_granted_total`).
+    /// Total grants (`apf_serve_quota_granted_total`).
     pub fn granted(&self) -> u64 {
-        self.granted_n.load(Ordering::Relaxed)
+        self.granted_total.get()
     }
 }
 

@@ -28,7 +28,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -67,6 +67,8 @@ pub struct WireConfig {
     /// Per-tenant token-bucket quotas.
     pub quota: QuotaConfig,
     /// Telemetry sink (pass the engine's so one exposition covers both).
+    /// The drain report reads the same counters, so servers that share one
+    /// enabled registry share their counts.
     pub telemetry: Telemetry,
     /// Where flight-recorder dumps land (on drain and on admin trigger);
     /// `None` disables file dumps (the admin response still carries the
@@ -90,8 +92,8 @@ impl Default for WireConfig {
     }
 }
 
-/// Telemetry handles for the wire hot path.
-#[derive(Clone)]
+/// Telemetry handles for the wire hot path. The counters are also the
+/// drain report's totals.
 struct WireTel {
     tel: Telemetry,
     connections_total: Counter,
@@ -256,12 +258,6 @@ struct WireShared {
     quotas: TenantQuotas,
     draining: AtomicBool,
     active: AtomicUsize,
-    // Report fields live in atomics: the telemetry handles are inert when
-    // telemetry is disabled, and the drain report must stay exact anyway.
-    connections_seen: AtomicU64,
-    limit_rejections: AtomicU64,
-    goaways_sent: AtomicU64,
-    conn_panics: AtomicU64,
     tm: WireTel,
 }
 
@@ -294,10 +290,6 @@ impl WireServer {
             quotas,
             draining: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            connections_seen: AtomicU64::new(0),
-            limit_rejections: AtomicU64::new(0),
-            goaways_sent: AtomicU64::new(0),
-            conn_panics: AtomicU64::new(0),
             tm,
         });
         let conn_handles: Arc<Mutex<Vec<thread::JoinHandle<ConnSummary>>>> =
@@ -389,11 +381,11 @@ impl WireServer {
             drain_ms,
             drain_deadline_ms: self.shared.cfg.drain_deadline_ms,
             completed_within_bound: drain_ms <= self.shared.cfg.drain_deadline_ms as f64,
-            connections_total: self.shared.connections_seen.load(Ordering::Relaxed),
+            connections_total: self.shared.tm.connections_total.get(),
             connections_at_drain,
-            goaways_sent: self.shared.goaways_sent.load(Ordering::Relaxed),
-            conn_panics: self.shared.conn_panics.load(Ordering::Relaxed),
-            conn_limit_rejections: self.shared.limit_rejections.load(Ordering::Relaxed),
+            goaways_sent: self.shared.tm.goaway_total.get(),
+            conn_panics: self.shared.tm.conn_panics_total.get(),
+            conn_limit_rejections: self.shared.tm.conn_limit_rejections_total.get(),
             connections,
             quota_accounts: self.shared.quotas.accounting(),
         }
@@ -454,10 +446,8 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 conn_seq += 1;
                 let conn = conn_seq;
-                shared.connections_seen.fetch_add(1, Ordering::Relaxed);
                 shared.tm.connections_total.inc();
                 if shared.active.load(Ordering::Relaxed) >= shared.cfg.max_connections {
-                    shared.limit_rejections.fetch_add(1, Ordering::Relaxed);
                     shared.tm.conn_limit_rejections_total.inc();
                     send_goaway(shared, &stream, shared.engine.retry_after_hint());
                     let _ = stream.shutdown(Shutdown::Both);
@@ -473,7 +463,6 @@ fn accept_loop(
                             catch_unwind(AssertUnwindSafe(|| serve_connection(conn, &conn_shared, stream)))
                                 .unwrap_or_else(|_| {
                                     conn_shared.tm.conn_panics_total.inc();
-                                    conn_shared.conn_panics.fetch_add(1, Ordering::Relaxed);
                                     ConnSummary {
                                         conn,
                                         frames_in: 0,
@@ -513,7 +502,6 @@ fn send_goaway(shared: &WireShared, stream: &TcpStream, retry_after_ms: u64) {
     );
     let mut w = stream;
     if write_frame(&mut w, &frame).is_ok() {
-        shared.goaways_sent.fetch_add(1, Ordering::Relaxed);
         shared.tm.goaway_total.inc();
         shared.tm.frames_out.inc();
     }
@@ -728,5 +716,86 @@ pub fn status_for_response(resp: &SegResponse) -> WireStatus {
                 FailureReason::NonFiniteOutput => 1,
             },
         },
+    }
+}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::BatchConfig;
+    use crate::engine::ServeConfig;
+    use crate::wire::client::{ClientConfig, ClientError, WireClient};
+    use crate::wire::frame::{WireRequest, DEFAULT_MAX_PAYLOAD};
+    use crate::wire::quota::QuotaLimit;
+
+    fn wait_for_active(srv: &WireServer, n: usize) {
+        let t0 = Instant::now();
+        while srv.active_connections() != n {
+            assert!(t0.elapsed() < Duration::from_secs(5), "never reached {n} live connections");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Every count checked here comes from a counter of a disabled
+    /// telemetry; the test fails if such counters were inert.
+    #[test]
+    fn reports_count_exactly_with_telemetry_disabled() {
+        let batch = BatchConfig { cache_budget_bytes: 1 << 20, ..BatchConfig::solo() };
+        let engine = Arc::new(ServeEngine::start(ServeConfig { batch, ..ServeConfig::small() }));
+        let quota = QuotaConfig {
+            overrides: vec![(9, QuotaLimit { burst: 1.0, per_sec: 0.25 })],
+            ..QuotaConfig::default()
+        };
+        let cfg = WireConfig { read_timeout_ms: 60, max_connections: 1, quota, ..WireConfig::default() };
+        let srv = WireServer::start(Arc::clone(&engine), cfg).expect("bind loopback");
+        let addr = srv.local_addr();
+        // One connection per call, so each call waits for the previous
+        // one's thread to exit before it takes the single slot.
+        let call = |tenant, px: usize| {
+            wait_for_active(&srv, 0);
+            let req = WireRequest::Segment {
+                deadline_ms: 2_000,
+                width: px as u32,
+                height: px as u32,
+                pixels: vec![0.5; px * px],
+            };
+            WireClient::connect(addr, ClientConfig { tenant, max_attempts: 1, ..ClientConfig::default() })
+                .call(&req)
+        };
+        // Tenant 1: a cache miss, a hit, and a size the engine refuses.
+        // Tenant 9: one grant (another hit), then one quota rejection.
+        assert!(matches!(call(1, 32), Ok(WireStatus::Ok { .. })));
+        assert!(matches!(call(1, 32), Ok(WireStatus::Ok { .. })));
+        assert!(matches!(call(1, 48), Err(ClientError::Terminal { .. })));
+        assert!(matches!(call(9, 32), Ok(WireStatus::Ok { .. })));
+        assert!(matches!(call(9, 32), Err(ClientError::Exhausted { attempts: 1, .. })));
+        // One idle connection takes the slot; the next is turned away.
+        let connect = || {
+            let s = TcpStream::connect(addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+            s
+        };
+        wait_for_active(&srv, 0);
+        let mut idle = connect();
+        wait_for_active(&srv, 1);
+        let mut refused = connect();
+        assert_eq!(read_frame(&mut refused, DEFAULT_MAX_PAYLOAD).unwrap().kind, FrameKind::GoAway);
+
+        assert_eq!((srv.shared.quotas.granted(), srv.shared.quotas.rejections()), (4, 1));
+        let drain = srv.drain();
+        assert_eq!(read_frame(&mut idle, DEFAULT_MAX_PAYLOAD).unwrap().kind, FrameKind::GoAway);
+        // 5 calls + the idle and the refused connection.
+        assert_eq!(drain.connections_total, 7);
+        assert_eq!((drain.conn_limit_rejections, drain.goaways_sent, drain.conn_panics), (1, 2, 0));
+        let ledger: Vec<(u64, u64, u64)> =
+            drain.quota_accounts.iter().map(|a| (a.tenant, a.granted, a.rejected)).collect();
+        assert_eq!(ledger, vec![(1, 3, 0), (9, 1, 1)]);
+
+        let report = Arc::try_unwrap(engine).ok().expect("sole owner").shutdown();
+        let m = &report.metrics;
+        assert_eq!((m.submitted, m.completed, m.invalid_input, m.tier_full), (4, 3, 1, 4));
+        assert_eq!(m.responses(), 4);
+        let cache = report.cache.expect("cache stats");
+        assert_eq!((cache.hits, cache.misses, cache.coalesced, cache.evictions), (2, 1, 0, 0));
+        assert_eq!(report.batch.expect("batch stats").batches, 3);
     }
 }

@@ -13,7 +13,10 @@
 //! * **Profiling hooks** ([`time_scope!`], [`counted!`], [`span_scope!`]):
 //!   one-liners that cost a single branch when the component was built
 //!   with [`Telemetry::disabled`] — cheap enough to leave in hot paths
-//!   permanently (gated <2% by the `telemetry_overhead` bench).
+//!   permanently (gated <2% by the `telemetry_overhead` bench). Counters
+//!   are the exception: they always count (one relaxed atomic add), and a
+//!   disabled telemetry simply registers and exports none of them, so
+//!   components read exact counts from their handles either way.
 //!
 //! ## Naming convention
 //!

@@ -1,12 +1,15 @@
 //! The metrics registry and the [`Telemetry`] facade.
 //!
 //! A [`Telemetry`] is either **enabled** (backed by a shared registry and a
-//! trace sink) or **disabled** (a null pointer in a trench coat). Handles
-//! ([`Counter`], [`Gauge`], [`Histogram`]) hold `Option<Arc<..>>` storage:
-//! from a disabled telemetry every handle is `None`, so the hot-path cost of
-//! instrumentation is a single branch on an already-loaded pointer — no
-//! clock reads, no atomics, no allocation. This is what lets the
-//! `telemetry_overhead` gate demand <2% on a real workload.
+//! trace sink) or **disabled** (a null pointer in a trench coat). A
+//! [`Counter`] always counts: a disabled telemetry hands out a live counter
+//! that is registered nowhere, so a component reads its exact counts
+//! through the handle whether or not anything is exported, at the cost of
+//! one relaxed atomic add. [`Gauge`] and [`Histogram`] handles hold
+//! `Option<Arc<..>>` storage that is `None` when disabled, so their
+//! hot-path cost is a single branch on an already-loaded pointer — no clock
+//! reads, no atomics. This is what lets the `telemetry_overhead` gate
+//! demand <2% on a real workload.
 //!
 //! The registry itself takes a `Mutex` only at **registration** time
 //! (typically once per process per metric); recording goes straight to the
@@ -165,8 +168,9 @@ impl Telemetry {
         }
     }
 
-    /// A disabled telemetry: every handle it creates is inert and costs one
-    /// branch per use.
+    /// A disabled telemetry: it registers and exports nothing. Its counters
+    /// still count (unregistered); every other handle it creates is inert
+    /// and costs one branch per use.
     pub fn disabled() -> Self {
         Telemetry { inner: None }
     }
@@ -225,25 +229,26 @@ impl Telemetry {
     }
 
     /// Registers (or re-attaches to) a monotonically increasing counter.
+    /// When disabled, returns a fresh counter that counts but is registered
+    /// nowhere.
     pub fn counter(&self, name: &'static str, help: &'static str) -> Counter {
         self.counter_with(name, Vec::new(), help)
     }
 
     /// Labelled variant of [`Telemetry::counter`].
     pub fn counter_with(&self, name: &'static str, labels: Labels, help: &'static str) -> Counter {
-        Counter {
-            cell: self.register(
-                name,
-                labels,
-                help,
-                Kind::Counter,
-                || Storage::Counter(Arc::new(AtomicU64::new(0))),
-                |s| match s {
-                    Storage::Counter(c) => Some(Arc::clone(c)),
-                    _ => None,
-                },
-            ),
-        }
+        let cell = self.register(
+            name,
+            labels,
+            help,
+            Kind::Counter,
+            || Storage::Counter(Arc::new(AtomicU64::new(0))),
+            |s| match s {
+                Storage::Counter(c) => Some(Arc::clone(c)),
+                _ => None,
+            },
+        );
+        Counter { cell: cell.unwrap_or_default() }
     }
 
     /// Registers (or re-attaches to) an f64 gauge.
@@ -652,53 +657,41 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Handle to a monotonically increasing counter; inert when its telemetry
-/// is disabled.
+/// Handle to a monotonically increasing counter. It always counts; one
+/// from a disabled telemetry (or [`Counter::default`]) is registered
+/// nowhere, so only its clones see the count. Clones share one cell.
 #[derive(Clone, Default)]
 pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// An inert counter (what a disabled telemetry hands out).
-    pub fn noop() -> Self {
-        Counter { cell: None }
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`. Relaxed: a count publishes no other data.
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(c) = &self.cell {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value (0 when inert).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
-/// Handle to an f64 gauge; inert when its telemetry is disabled.
+/// Handle to an f64 gauge; inert when its telemetry is disabled (and when
+/// made by `Default`).
 #[derive(Clone, Default)]
 pub struct Gauge {
     bits: Option<Arc<AtomicU64>>,
 }
 
 impl Gauge {
-    /// An inert gauge.
-    pub fn noop() -> Self {
-        Gauge { bits: None }
-    }
-
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
@@ -716,18 +709,13 @@ impl Gauge {
 }
 
 /// Handle to a log-bucketed histogram; inert when its telemetry is
-/// disabled.
+/// disabled (and when made by `Default`).
 #[derive(Clone, Default)]
 pub struct Histogram {
     core: Option<Arc<HistogramCore>>,
 }
 
 impl Histogram {
-    /// An inert histogram.
-    pub fn noop() -> Self {
-        Histogram { core: None }
-    }
-
     /// Records one observation (lock-free).
     #[inline]
     pub fn record(&self, v: f64) {
@@ -767,15 +755,22 @@ mod tests {
         let g = t.gauge("apf_test_depth", "depth");
         let h = t.histogram("apf_test_latency_seconds", "latency");
         c.inc();
+        c.clone().add(2);
         g.set(5.0);
         h.record(1.0);
         drop(h.start_timer());
         drop(t.span("test.noop"));
-        assert_eq!(c.get(), 0);
+        // Counters count, but nothing is registered: the same name from the
+        // same disabled telemetry is a separate, unshared counter.
+        assert_eq!(c.get(), 3);
+        assert_eq!(t.counter("apf_test_ops_total", "ops").get(), 0);
+        // Gauges, histograms and spans stay inert.
         assert_eq!(g.get(), 0.0);
         assert_eq!(h.count(), 0);
         assert!(t.trace_events().is_empty());
+        // Nothing is exported.
         assert!(t.snapshot().metrics.is_empty());
+        assert!(t.render_prometheus().is_empty());
         assert_eq!(format!("{t:?}"), "Telemetry(disabled)");
     }
 

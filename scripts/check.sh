@@ -5,6 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> vendored stand-ins (each vendor/ package is a dependency in Cargo.lock)"
+# vendor/* are workspace members, so every one is listed in Cargo.lock as a
+# package; a stand-in no package depends on is dead code and must go.
+for dir in vendor/*/; do
+  name=$(basename "$dir")
+  grep -Eq "^ \"$name( [^\"]*)?\",?$" Cargo.lock \
+    || { echo "vendor/$name: no package in Cargo.lock depends on it" >&2; exit 1; }
+done
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
